@@ -9,7 +9,6 @@ intersected with the reward box) and plays the game
 max over occupancies, min over that set, of the average reward.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,7 +372,3 @@ def poisoning_report(mdp, spec, result, region, game=None):
         report["game"] = {"maxmin": game["maxmin"], "minmax": game["minmax"],
                           "gap": game["gap"]}
     return report
-
-
-def report_to_json(report):
-    return json.dumps(report, indent=2, sort_keys=True)

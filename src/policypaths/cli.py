@@ -7,7 +7,8 @@ metadata.json, instance work is keyed by instance id, and report
 assembly sorts by id so --jobs never changes the output.
 
 Exit codes: 0 all certified, 2 a certified property failed, 1
-operational error.
+operational error (size caps, solver failures, bad config, ...).  A run
+with both kinds of failure exits 1.
 """
 
 import argparse
@@ -20,11 +21,13 @@ import time
 import traceback
 
 import numpy as np
+import scipy
 
+from . import __version__, errors
 from . import landscape as landscape_mod
 from .attack import (AttackSpec, attack, maxmin_value, minimax_gap,
                      region_from_anchor)
-from .errors import PolicyPathsError
+from .errors import PolicyPathsError, PropertyViolation
 from .mdp import check_ergodicity, random_ergodic_mdp
 from .netpaths import assemble_nn_path
 from .network import NetArchitecture, one_hot_features, random_theta
@@ -95,11 +98,28 @@ def _emit(cfg, name, report, extra_files=None):
            json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
     _write(os.path.join(out, f"{name}.json"),
            json.dumps(report, indent=2, sort_keys=True) + "\n")
+    versions = {"python": sys.version.split()[0], "numpy": np.__version__,
+                "scipy": scipy.__version__, "policypaths": __version__}
     _write(os.path.join(out, "metadata.json"),
-           json.dumps({"command": name, "finished_unix": time.time()},
+           json.dumps({"command": name, "finished_unix": time.time(),
+                       "versions": versions},
                       indent=2, sort_keys=True) + "\n")
     for rel, text in (extra_files or {}).items():
         _write(os.path.join(out, rel), text)
+
+
+def _exit_code(results):
+    """EXIT_PASS when every instance passed, EXIT_ERROR when any failure is
+    operational, else EXIT_VIOLATION.  A failed row without an error type
+    failed its own certificate check."""
+    failed = [r for r in results if not r["ok"]]
+    if not failed:
+        return EXIT_PASS
+    for r in failed:
+        name = r.get("error_type")
+        if name and not issubclass(getattr(errors, name), PropertyViolation):
+            return EXIT_ERROR
+    return EXIT_VIOLATION
 
 
 def _instance_sizes(cfg, rng):
@@ -125,6 +145,11 @@ def _run_instances(cfg, worker, ids):
 # ---------------------------------------------------------------------------
 # Instance workers (top level so process pools can pickle them).
 # ---------------------------------------------------------------------------
+
+def _failure(i, exc):
+    return {"id": i, "ok": False, "error": str(exc),
+            "error_type": type(exc).__name__}
+
 
 def _random_policy(rng, n_states, n_actions):
     return rng.dirichlet(np.ones(n_actions), size=n_states)
@@ -152,7 +177,7 @@ def tabular_worker(cfg, i):
                                          grid=uniform_grid(cfg.grid),
                                          tol=cfg.value_tol)
     except PolicyPathsError as exc:
-        return {"id": i, "ok": False, "error": str(exc)}
+        return _failure(i, exc)
     return {"id": i, "ok": True,
             "stationary_residual": trace.max_residual("stationary_linearity"),
             "occupancy_residual": trace.max_residual("occupancy_linearity"),
@@ -177,8 +202,7 @@ def nn_worker(cfg, i):
                                 seed=cfg.seed + i,
                                 assembled_tol=cfg.assembled_tol)
     except PolicyPathsError as exc:
-        return {"id": i, "ok": False, "error": str(exc),
-                "error_type": type(exc).__name__}
+        return _failure(i, exc)
     cert = path.certificate
     return {"id": i, "ok": True,
             "max_output_drift": cert["max_output_drift"],
@@ -195,7 +219,7 @@ def attack_worker(cfg, i):
     try:
         result = attack(mdp, spec)
     except PolicyPathsError as exc:
-        return {"id": i, "ok": False, "error": str(exc)}
+        return _failure(i, exc)
     return {"id": i, "ok": True, "kkt_residual": result.kkt_residual,
             "cost": result.cost, "min_margin": float(result.margins.min()),
             "target": target.tolist()}
@@ -214,7 +238,7 @@ def defend_worker(cfg, i):
         true_in_region = bool(region.contains(mdp.reward.ravel()))
         value, _, _ = maxmin_value(mdp, region, cross_check=False)
     except PolicyPathsError as exc:
-        return {"id": i, "ok": False, "error": str(exc)}
+        return _failure(i, exc)
     return {"id": i, "ok": True, "n_generators": int(region.generators.shape[1]),
             "true_reward_in_region": true_in_region, "maxmin": value}
 
@@ -231,7 +255,7 @@ def minimax_worker(cfg, i):
         region = region_from_anchor(mdp, spec, result.poisoned)
         game = minimax_gap(mdp, region)
     except PolicyPathsError as exc:
-        return {"id": i, "ok": False, "error": str(exc)}
+        return _failure(i, exc)
     return {"id": i, "ok": abs(game["gap"]) <= cfg.gap_tol
             and game["gap"] >= -1e-9,
             "maxmin": game["maxmin"], "minmax": game["minmax"],
@@ -263,7 +287,7 @@ def cmd_tabular_verify(cfg):
                   (r["stationary_residual"] for r in results if r["ok"]),
                   default=None)}
     _emit(cfg, "tabular-verify", report)
-    return EXIT_PASS if ok else EXIT_VIOLATION
+    return _exit_code(results)
 
 
 def cmd_nn_verify(cfg):
@@ -271,7 +295,7 @@ def cmd_nn_verify(cfg):
     ok = all(r["ok"] for r in results)
     report = {"instances": results, "pass": ok}
     _emit(cfg, "nn-verify", report)
-    return EXIT_PASS if ok else EXIT_VIOLATION
+    return _exit_code(results)
 
 
 def cmd_attack(cfg):
@@ -281,7 +305,7 @@ def cmd_attack(cfg):
               "worst_kkt": max((r["kkt_residual"] for r in results if r["ok"]),
                                default=None)}
     _emit(cfg, "attack", report)
-    return EXIT_PASS if ok else EXIT_VIOLATION
+    return _exit_code(results)
 
 
 def cmd_defend(cfg):
@@ -289,7 +313,7 @@ def cmd_defend(cfg):
     ok = all(r["ok"] for r in results)
     report = {"instances": results, "pass": ok}
     _emit(cfg, "defend", report)
-    return EXIT_PASS if ok else EXIT_VIOLATION
+    return _exit_code(results)
 
 
 def cmd_minimax(cfg):
@@ -299,7 +323,7 @@ def cmd_minimax(cfg):
               "worst_gap": max((abs(r["gap"]) for r in results if "gap" in r),
                                default=None)}
     _emit(cfg, "minimax", report)
-    return EXIT_PASS if ok else EXIT_VIOLATION
+    return _exit_code(results)
 
 
 def cmd_landscape(cfg):
@@ -354,7 +378,7 @@ def main(argv=None):
     try:
         cfg = RunConfig.load(args)
         return COMMANDS[args.command](cfg)
-    except PolicyPathsError as exc:
+    except PropertyViolation as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except Exception:

@@ -5,6 +5,14 @@ class PolicyPathsError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class PropertyViolation(PolicyPathsError):
+    """Marker base of the errors that mean a certified property failed.
+
+    The command line exits with code 2 for these only; every other error
+    is operational (exit code 1).
+    """
+
+
 class NonConvergence(PolicyPathsError):
     """An iterative solver failed to reach its tolerance within the cap."""
 
@@ -17,7 +25,7 @@ class CapExceeded(PolicyPathsError):
     """An enumeration or instance size exceeds the configured cap."""
 
 
-class BoundViolated(PolicyPathsError):
+class BoundViolated(PropertyViolation):
     """A certified value lower bound failed at some sample point."""
 
     def __init__(self, message, alpha=None, reward_index=None):
@@ -46,7 +54,7 @@ class PolicyFloorViolated(PolicyPathsError):
     """A policy entry lies below the softmax positivity floor."""
 
 
-class OutputDrift(PolicyPathsError):
+class OutputDrift(PropertyViolation):
     """An output-preserving segment drifted beyond its tolerance."""
 
 
@@ -82,7 +90,7 @@ class LpFailure(PolicyPathsError):
     """The linear-program solver reported a failure."""
 
 
-class CrossCheckMismatch(PolicyPathsError):
+class CrossCheckMismatch(PropertyViolation):
     """Two independent solvers disagree beyond the allowed tolerance."""
 
 

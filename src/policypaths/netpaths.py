@@ -1,13 +1,19 @@
 """Continuous parameter-space paths between policy networks.
 
-The path between two networks is assembled from output-preserving
-segments (full-rank repairs, first-layer rank restoration and swap,
-pseudo-inverse preimage moves) plus one "tabular lift" segment that
-carries the network output along the occupancy-blend policy path, which
-is where the value bound comes from.  Every segment declares an invariant
-(constant output, or a value floor) and is certified by sampling.
+The path between two networks is a concatenation of segments, as in the
+paper's lemmas.  A segment is a kind, a list of stages (maps t in [0, 1]
+-> parameters, joined end to end with equal lengths) and a declared
+invariant: a residual sampled at every point, with the bound it must keep.
+The output-preserving segments are full-rank repairs, first-layer rank
+restoration and swap, pseudo-inverse preimage moves and full-rank tall
+matrix paths; one "tabular lift" segment carries the network output along
+the occupancy-blend policy path, which is where the value bound comes
+from.  The assembled path is certified in one pass: a single forward
+evaluation per snapshot feeds both the output-drift check and the value
+of every reward.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,36 +36,6 @@ RANK_SIGMA_FRAC = 1e-6
 REWIRE_TRIES = 50
 
 
-class PiecewiseCurve:
-    """Concatenation of stage maps t in [0, 1] -> value, reparameterized
-    to a single [0, 1] with equal stage lengths.  Stage endpoints are
-    evaluated at exact t = 0 / t = 1 so joints match bitwise."""
-
-    def __init__(self, stages):
-        if not stages:
-            raise ValueError("need at least one stage")
-        self.stages = stages
-
-    def at(self, alpha):
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        k = len(self.stages)
-        if alpha == 1.0:
-            return self.stages[-1](1.0)
-        i = int(alpha * k)
-        return self.stages[i](alpha * k - i)
-
-    def breakpoints(self):
-        k = len(self.stages)
-        return np.arange(k + 1) / k
-
-
-def constant_stage(value):
-    def stage(t):
-        return value
-    return stage
-
-
 @dataclass
 class PathSegment:
     """One sampled segment of a parameter path.
@@ -74,7 +50,6 @@ class PathSegment:
     alphas: np.ndarray
     points: list
     residuals: dict
-    curve: PiecewiseCurve
     metadata: dict = field(default_factory=dict)
 
     def max_residual(self, name):
@@ -100,9 +75,52 @@ class SegmentedPath:
         return b"".join(chunks)
 
 
-def _grid_with_breakpoints(grid, curve):
+@dataclass(frozen=True)
+class _Invariant:
+    """A residual measured at every sample of a segment, and its bound:
+    an upper bound, or a lower bound when ``floor`` is set."""
+
+    name: str
+    measure: Callable
+    tol: float
+    error: type
+    label: str
+    floor: bool = False
+
+    def check(self, samples):
+        """The residual at each sample; raises ``error`` past the bound."""
+        residual = np.array([self.measure(s) for s in samples])
+        worst = residual.min() if self.floor else residual.max()
+        if (worst < self.tol) if self.floor else (worst > self.tol):
+            bound = "dipped below" if self.floor else "exceeds"
+            raise self.error(f"{self.label} {worst:.3e} {bound} {self.tol}")
+        return residual
+
+
+def _sample(stages, grid):
+    """Sample the concatenation of ``stages`` over [0, 1], each stage an
+    equal share, at the grid points and every joint.  Joints are evaluated
+    at exactly t = 0 or t = 1, so adjacent stages meet bitwise."""
+    k = len(stages)
     grid = uniform_grid() if grid is None else np.asarray(grid, dtype=float)
-    return np.unique(np.concatenate([grid, curve.breakpoints(), [0.0, 1.0]]))
+    alphas = np.unique(np.concatenate([grid, np.arange(k + 1) / k, [0.0, 1.0]]))
+    if alphas[0] < 0.0 or alphas[-1] > 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    points = []
+    for alpha in alphas:
+        i = min(int(alpha * k), k - 1)
+        points.append(stages[i](alpha * k - i))
+    return alphas, points
+
+
+def _segment(kind, stages, grid, invariant=None, metadata=None):
+    """Sample ``stages`` and certify ``invariant`` at every point.  Without
+    an invariant the residuals are left to the assembled certification."""
+    alphas, points = _sample(stages, grid)
+    residuals = {} if invariant is None else \
+        {invariant.name: invariant.check(points)}
+    return PathSegment(kind=kind, alphas=alphas, points=points,
+                       residuals=residuals, metadata=metadata or {})
 
 
 def _augment(X):
@@ -123,9 +141,9 @@ def _check_full_column_rank(W, name, tol=PINV_TOL):
         raise RankDeficient(f"{name} must have full column rank")
 
 
-def _min_max_sigma(T):
+def _min_sigma(T):
     s = np.linalg.svd(T, compute_uv=False)
-    return (float(s[-1]), float(s[0])) if s.size else (0.0, 0.0)
+    return float(s[-1]) if s.size else 0.0
 
 
 def _activation_full_rank(T, n_required, frac=RANK_SIGMA_FRAC):
@@ -286,34 +304,27 @@ def preimage_chain_path(arch, X, theta_a, theta_b, grid=None, tol=SEGMENT_TOL):
         theta.biases[0] = b1
         return theta
 
-    curve = PiecewiseCurve([stage])
-    alphas = _grid_with_breakpoints(grid, curve)
-    points = [curve.at(a) for a in alphas]
-    drift = np.array([np.max(np.abs(forward(arch, p, X) - pi_ref))
-                      for p in points])
-    if drift.max() > tol:
-        raise OutputDrift(f"preimage chain drift {drift.max():.3e} exceeds {tol}")
-    return PathSegment(kind="preimage-chain", alphas=alphas, points=points,
-                       residuals={"output_drift": drift}, curve=curve,
-                       metadata={"pi_ref": pi_ref})
+    drift = _Invariant("output_drift",
+                       lambda p: np.max(np.abs(forward(arch, p, X) - pi_ref)),
+                       tol, OutputDrift, "preimage chain drift")
+    return _segment("preimage-chain", [stage], grid, drift,
+                    metadata={"pi_ref": pi_ref})
 
 
 # ---------------------------------------------------------------------------
 # Rank restoration of the first-layer activation table.
 # ---------------------------------------------------------------------------
 
-def _dependent_column(T, exclude=(), candidates=None):
+def _dependent_column(T, candidates=None):
     """A column of T expressible by the others, with its coefficients.
 
-    Returns (j, c) where T[:, j] ~= T[:, others] @ c, or None.
+    Returns (j, c, others) where T[:, j] ~= T[:, others] @ c, or None.
     """
     n_cols = T.shape[1]
     pool = range(n_cols) if candidates is None else candidates
     scale = max(1.0, float(np.linalg.norm(T)))
     best = None
     for j in pool:
-        if j in exclude:
-            continue
         others = [i for i in range(n_cols) if i != j]
         c, res, *_ = np.linalg.lstsq(T[:, others], T[:, j], rcond=None)
         residual = float(np.linalg.norm(T[:, others] @ c - T[:, j]))
@@ -324,15 +335,16 @@ def _dependent_column(T, exclude=(), candidates=None):
     return best[0], best[1], best[3]
 
 
-def _transfer_stage(W1, b1, V, j, others, coeffs):
-    """Linear V-move zeroing neuron j's output row while keeping T V fixed."""
+def _transfer_stage(fixed, V, j, others, coeffs):
+    """Linear V-move zeroing neuron j's output row while keeping T V fixed.
+    Each point is copies of the ``fixed`` arrays followed by V."""
     V0 = V.copy()
 
     def stage(t):
         Vt = V0.copy()
         Vt[others] = V0[others] + t * coeffs[:, None] * V0[j][None, :]
         Vt[j] = (1 - t) * V0[j]
-        return W1.copy(), b1.copy(), Vt
+        return tuple(a.copy() for a in fixed) + (Vt,)
 
     V_end = V0.copy()
     V_end[others] = V0[others] + coeffs[:, None] * V0[j][None, :]
@@ -384,7 +396,7 @@ def rank_restore_first_layer(X, W1, b1, V, slope, seed=0, grid=None,
         if dep is None:
             raise RestorationStalled("no redundant activation column found")
         j, coeffs, others = dep
-        stage_a, V = _transfer_stage(W1, b1, V, j, others, coeffs)
+        stage_a, V = _transfer_stage((W1, b1), V, j, others, coeffs)
         stages.append(stage_a)
         rank_before = rank_with_tol(T)
         for _ in range(REWIRE_TRIES):
@@ -399,22 +411,17 @@ def rank_restore_first_layer(X, W1, b1, V, slope, seed=0, grid=None,
         stage_b, W1, b1 = _rewire_stage(W1, b1, V, j, w_new, b_new)
         stages.append(stage_b)
     if not stages:
-        stages = [constant_stage((W1.copy(), b1.copy(), V.copy()))]
+        stages = [lambda t: (W1, b1, V)]
 
-    curve = PiecewiseCurve(stages)
-    alphas = _grid_with_breakpoints(grid, curve)
-    points = [curve.at(a) for a in alphas]
-    drift = np.array([np.max(np.abs(activation(W, b) @ Vt - Z0))
-                      for W, b, Vt in points])
-    if drift.max() > drift_tol:
-        raise OutputDrift(f"product drift {drift.max():.3e} exceeds {drift_tol}")
-    T_end = activation(*points[-1][:2])
-    smin, smax = _min_max_sigma(T_end)
-    return PathSegment(kind="rank-restore-F1", alphas=alphas, points=points,
-                       residuals={"product_drift": drift}, curve=curve,
-                       metadata={"terminal_min_sigma": smin,
-                                 "terminal_rank": rank_with_tol(T_end, RANK_SIGMA_FRAC),
-                                 "rounds": rounds})
+    drift = _Invariant("product_drift",
+                       lambda p: np.max(np.abs(activation(*p[:2]) @ p[2] - Z0)),
+                       drift_tol, OutputDrift, "product drift")
+    seg = _segment("rank-restore-F1", stages, grid, drift)
+    T_end = activation(*seg.points[-1][:2])
+    seg.metadata = {"terminal_min_sigma": _min_sigma(T_end),
+                    "terminal_rank": rank_with_tol(T_end, RANK_SIGMA_FRAC),
+                    "rounds": rounds}
+    return seg
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +461,12 @@ def first_layer_swap(X, W, V, W_target, slope=None, seed=0, grid=None,
         if not _activation_full_rank(table, n_states):
             raise RankDeficient(f"{name} activation table must have rank {n_states}")
     Z0 = T @ V
-    stages = []
-
+    drift = _Invariant("product_drift",
+                       lambda p: np.max(np.abs(activation(p[0]) @ p[1] - Z0)),
+                       drift_tol, OutputDrift, "swap product drift")
     if np.array_equal(W, W_target):
-        curve = PiecewiseCurve([constant_stage((W.copy(), V.copy()))])
-        alphas = _grid_with_breakpoints(grid, curve)
-        points = [curve.at(a) for a in alphas]
-        drift = np.zeros(alphas.size)
-        return PathSegment(kind="first-layer-swap", alphas=alphas, points=points,
-                           residuals={"product_drift": drift}, curve=curve)
+        return _segment("first-layer-swap", [lambda t: (W, V)], grid, drift)
+    stages = []
 
     target_block = _pivot_columns(T_target, n_states)
     keep_block = [j for j in range(n1) if j not in target_block]
@@ -478,8 +482,8 @@ def first_layer_swap(X, W, V, W_target, slope=None, seed=0, grid=None,
         if dep is None:
             raise SwapFailed("no redundant activation column in the kept block")
         j, coeffs, others = dep
-        stage_a, V = _transfer_stage(W, np.zeros(0), V, j, others, coeffs)
-        stages.append(_drop_bias(stage_a))
+        stage_a, V = _transfer_stage((W,), V, j, others, coeffs)
+        stages.append(stage_a)
         rank_before = rank_with_tol(T[:, keep_block], RANK_SIGMA_FRAC)
         for _ in range(REWIRE_TRIES):
             w_new = rng.normal(size=W.shape[0])
@@ -523,17 +527,10 @@ def first_layer_swap(X, W, V, W_target, slope=None, seed=0, grid=None,
     stages.append(_linear_pair_stage((W, V), (W_end, V)))
     W = W_end
 
-    curve = PiecewiseCurve(stages)
-    alphas = _grid_with_breakpoints(grid, curve)
-    points = [curve.at(a) for a in alphas]
-    drift = np.array([np.max(np.abs(activation(Wp) @ Vp - Z0))
-                      for Wp, Vp in points])
-    if drift.max() > drift_tol:
-        raise OutputDrift(f"swap product drift {drift.max():.3e} exceeds {drift_tol}")
-    if not np.array_equal(points[-1][0], W_target):
+    seg = _segment("first-layer-swap", stages, grid, drift)
+    if not np.array_equal(seg.points[-1][0], W_target):
         raise SwapFailed("terminal weights do not equal the target")
-    return PathSegment(kind="first-layer-swap", alphas=alphas, points=points,
-                       residuals={"product_drift": drift}, curve=curve)
+    return seg
 
 
 def _linear_pair_stage(start, end):
@@ -547,13 +544,6 @@ def _linear_pair_stage(start, end):
             return a1.copy(), b1.copy()
         return (1 - t) * a0 + t * a1, (1 - t) * b0 + t * b1
 
-    return stage
-
-
-def _drop_bias(stage3):
-    def stage(t):
-        W, _, V = stage3(t)
-        return W, V
     return stage
 
 
@@ -636,12 +626,13 @@ def fullrank_tall_path(F_a, F_b, grid=None, seed=0, min_sigma=MIN_SIGMA):
     if F_b.shape != (m, n) or m <= n:
         raise ValueError("endpoints must share a tall m x n shape with m > n")
     for name, F in (("first", F_a), ("second", F_b)):
-        if _min_max_sigma(F)[0] < min_sigma:
+        if _min_sigma(F) < min_sigma:
             raise RankDeficient(f"{name} endpoint is rank deficient")
     rng = np.random.default_rng(seed)
 
     if np.array_equal(F_a, F_b):
-        curve = PiecewiseCurve([constant_stage(F_a.copy())])
+        F_const = F_a.copy()
+        stages = [lambda t: F_const]
     else:
         def polar_factor(F):
             U, _, Vt = np.linalg.svd(F, full_matrices=False)
@@ -664,16 +655,11 @@ def fullrank_tall_path(F_a, F_b, grid=None, seed=0, min_sigma=MIN_SIGMA):
         stages += _stiefel_stages(U_a, E, rng)
         stages += _stiefel_stages(E, U_b, rng)
         stages.append(polar_line(F_b, U_b, reverse=True))
-        curve = PiecewiseCurve(stages)
 
-    alphas = _grid_with_breakpoints(grid, curve)
-    points = [curve.at(a) for a in alphas]
-    sigmas = np.array([_min_max_sigma(F)[0] for F in points])
-    if sigmas.min() < min_sigma:
-        raise PathStalled(f"minimum singular value {sigmas.min():.3e} dipped "
-                          f"below {min_sigma}")
-    return PathSegment(kind="fullrank-tall", alphas=alphas, points=points,
-                       residuals={"min_sigma": sigmas}, curve=curve)
+    sigmas = _Invariant("min_sigma", _min_sigma,
+                        min_sigma, PathStalled, "minimum singular value",
+                        floor=True)
+    return _segment("fullrank-tall", stages, grid, sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +679,6 @@ def weight_fullrank_repair(arch, theta, X, seed=0, grid=None, drift_tol=1e-8):
     rng = np.random.default_rng(seed)
     slope = arch.leaky_slope
     hidden, _ = forward(arch, theta, X, return_hidden=True)
-    pre_softmax0 = hidden[-2] @ theta.weights[-1] + np.ones((X.shape[0], 1)) \
-        * theta.biases[-1][None, :] if arch.depth > 1 else None
     current = theta.copy()
     stages = []
     for l in range(1, arch.depth):        # layer index l+1 in math terms
@@ -730,11 +714,8 @@ def weight_fullrank_repair(arch, theta, X, seed=0, grid=None, drift_tol=1e-8):
         stages.append(stage)
         current = end
     if not stages:
-        stages = [constant_stage(current.copy())]
+        stages = [lambda t: current]
 
-    curve = PiecewiseCurve(stages)
-    alphas = _grid_with_breakpoints(grid, curve)
-    points = [curve.at(a) for a in alphas]
     ones = np.ones((X.shape[0], 1))
 
     def pre_softmax(th):
@@ -744,42 +725,27 @@ def weight_fullrank_repair(arch, theta, X, seed=0, grid=None, drift_tol=1e-8):
         return h[-2] @ th.weights[-1] + ones * th.biases[-1][None, :]
 
     ref = pre_softmax(theta)
-    drift = np.array([np.max(np.abs(pre_softmax(p) - ref)) for p in points])
-    if drift.max() > drift_tol:
-        raise OutputDrift(f"repair drift {drift.max():.3e} exceeds {drift_tol}")
-    return PathSegment(kind="weight-fullrank-repair", alphas=alphas,
-                       points=points, residuals={"output_drift": drift},
-                       curve=curve)
+    drift = _Invariant("output_drift",
+                       lambda p: np.max(np.abs(pre_softmax(p) - ref)),
+                       drift_tol, OutputDrift, "repair drift")
+    return _segment("weight-fullrank-repair", stages, grid, drift)
 
 
 # ---------------------------------------------------------------------------
 # Full path assembly between two policy networks.
 # ---------------------------------------------------------------------------
 
-def _reverse_curve(curve):
-    stages = [
-        (lambda t, f=f: f(1.0 - t)) for f in reversed(curve.stages)]
-    return PiecewiseCurve(stages)
-
-
-def _reversed_segment(seg, kind=None):
-    curve = _reverse_curve(seg.curve)
-    alphas = 1.0 - seg.alphas[::-1]
-    points = list(reversed(seg.points))
-    residuals = {k: v[::-1].copy() for k, v in seg.residuals.items()}
-    return PathSegment(kind=kind or seg.kind, alphas=alphas, points=points,
-                       residuals=residuals, curve=curve,
-                       metadata=dict(seg.metadata))
-
-
-def _wrap_segment(seg, embed, kind=None):
-    """Lift a low-level segment over partial parameters to full Thetas."""
-    curve = PiecewiseCurve([
-        (lambda t, f=f: embed(f(t))) for f in seg.curve.stages])
-    points = [embed(p) for p in seg.points]
-    return PathSegment(kind=kind or seg.kind, alphas=seg.alphas.copy(),
-                       points=points, residuals=dict(seg.residuals),
-                       curve=curve, metadata=dict(seg.metadata))
+def _lift(seg, embed=None, reverse=False):
+    """``seg`` with its points mapped to full Thetas by ``embed`` and, with
+    ``reverse``, travelled from its last point back to its first."""
+    points = [embed(p) for p in seg.points] if embed else list(seg.points)
+    alphas, residuals = seg.alphas.copy(), dict(seg.residuals)
+    if reverse:
+        alphas = 1.0 - seg.alphas[::-1]
+        points = points[::-1]
+        residuals = {k: v[::-1].copy() for k, v in seg.residuals.items()}
+    return PathSegment(kind=seg.kind, alphas=alphas, points=points,
+                       residuals=residuals, metadata=dict(seg.metadata))
 
 
 def _theta_from_parts(first, second, deep):
@@ -815,18 +781,9 @@ def _prepare_endpoint(arch, X, theta, seed, grid):
         W1, b1, V = point
         return _theta_from_parts((W1, b1), (V, b2), deep)
 
-    seg_restore = _wrap_segment(seg_restore_raw, embed)
+    seg_restore = _lift(seg_restore_raw, embed)
     theta_p = seg_restore.points[-1]
     return [seg_repair, seg_restore], theta_p
-
-
-def _segment_value_matrix(mdp, arch, X, seg, rewards):
-    values = np.zeros((len(seg.points), len(rewards)))
-    for i, theta in enumerate(seg.points):
-        mu_hat = occupancy(mdp, forward(arch, theta, X))
-        for j, r in enumerate(rewards):
-            values[i, j] = float(np.sum(r * mu_hat))
-    return values
 
 
 def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
@@ -855,6 +812,14 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
     pi_1 = forward(arch, theta_1, X)
     pi_2 = forward(arch, theta_2, X)
 
+    # Each leg declares the output it must keep: the policy of the endpoint
+    # on its side, or none for the tabular lift.
+    def pinned(pi):
+        return _Invariant("output_drift", lambda out: np.max(np.abs(out - pi)),
+                          assembled_tol, OutputDrift, "assembled output drift")
+
+    pinned_1, pinned_2 = pinned(pi_1), pinned(pi_2)
+
     prep_1, theta_1p = _prepare_endpoint(arch, X, theta_1, seed, grid)
     prep_2, theta_2p = _prepare_endpoint(arch, X, theta_2, seed + 100, grid)
 
@@ -873,7 +838,7 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
         Wb, V = point
         return _theta_from_parts(_unstack(Wb), (V, b2_1), deep_1)
 
-    seg_swap = _wrap_segment(seg_swap_raw, embed_swap)
+    seg_swap = _lift(seg_swap_raw, embed_swap)
     theta_1s = seg_swap.points[-1]
 
     # Everything downstream of the shared first layer is a policy network
@@ -900,34 +865,34 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
     theta_1h_sub = sub_with_h(deep_1, pi_1)
     theta_2h_sub = sub_with_h(deep_2, pi_2)
 
-    seg_chain_1 = _wrap_segment(
+    seg_chain_1 = _lift(
         preimage_chain_path(sub_arch, F1, sub_theta(theta_1s), theta_1h_sub,
                             grid=grid, tol=segment_tol),
         embed_sub)
 
-    segments = prep_1 + [seg_swap, seg_chain_1]
+    legs = [(seg, pinned_1) for seg in prep_1 + [seg_swap, seg_chain_1]]
 
     # Carry the deep weights from side 1 to side 2 through full-rank tall
     # matrices, re-solving the second layer so the output stays pinned.
     if deep_1:
         tall = [fullrank_tall_path(W_a, W_b, grid=grid, seed=seed + 300 + k)
                 for k, ((W_a, _), (W_b, _)) in enumerate(zip(deep_1, deep_2))]
+        # The tall paths are sampled on the same grid plus their own
+        # joints, so they hold a point at every alpha of this one-stage leg.
+        tall_at = [dict(zip(path.alphas.tolist(), path.points))
+                   for path in tall]
 
         def h_swap_stage(t):
             layers_t = []
-            for k, path in enumerate(tall):
+            for k, at in enumerate(tall_at):
                 b_a, b_b = deep_1[k][1], deep_2[k][1]
                 b_t = b_a if t == 0.0 else (b_b if t == 1.0
                                             else (1 - t) * b_a + t * b_b)
-                layers_t.append((path.curve.at(t), b_t))
+                layers_t.append((at[t], b_t))
             return embed_sub(sub_with_h(layers_t, pi_1))
 
-        curve = PiecewiseCurve([h_swap_stage])
-        alphas = _grid_with_breakpoints(grid, curve)
-        points = [curve.at(a) for a in alphas]
-        seg_hswap = PathSegment(kind="weight-swap-with-h", alphas=alphas,
-                                points=points, residuals={}, curve=curve)
-        segments.append(seg_hswap)
+        legs.append((_segment("weight-swap-with-h", [h_swap_stage], grid),
+                     pinned_1))
 
     # The only non-output-preserving leg: slide the realized policy along
     # the occupancy-blend path from pi_1 to pi_2.
@@ -938,36 +903,19 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
         pi_t = interpolate_policies(mdp, pi_1, pi_2, 1.0 - t, mu1=mu1, mu2=mu2)
         return embed_sub(sub_with_h(deep_2, pi_t))
 
-    curve = PiecewiseCurve([lift_stage])
-    alphas = _grid_with_breakpoints(grid, curve)
-    seg_lift = PathSegment(kind="tabular-lift", alphas=alphas,
-                           points=[curve.at(a) for a in alphas],
-                           residuals={}, curve=curve)
-    segments.append(seg_lift)
+    legs.append((_segment("tabular-lift", [lift_stage], grid), None))
 
-    seg_chain_2 = _wrap_segment(
+    seg_chain_2 = _lift(
         preimage_chain_path(sub_arch, F1, theta_2h_sub, sub_theta(theta_2p),
                             grid=grid, tol=segment_tol),
         embed_sub)
-    segments.append(seg_chain_2)
-    segments += [_reversed_segment(s) for s in reversed(prep_2)]
+    side_2 = [seg_chain_2] + [_lift(s, reverse=True) for s in reversed(prep_2)]
+    legs += [(seg, pinned_2) for seg in side_2]
+    segments = [seg for seg, _ in legs]
 
-    # Certification: output drift on the output-preserving legs, and the
-    # value floor everywhere, for every reward at once.
-    drift_max = 0.0
-    side_2 = {id(s) for s in segments[-(len(prep_2) + 1):]}
-    for seg in segments:
-        if seg.kind == "tabular-lift":
-            continue
-        ref = pi_2 if id(seg) in side_2 else pi_1
-        drift = np.array([np.max(np.abs(forward(arch, p, X) - ref))
-                          for p in seg.points])
-        seg.residuals["output_drift"] = drift
-        drift_max = max(drift_max, float(drift.max()))
-    if drift_max > assembled_tol:
-        raise OutputDrift(
-            f"assembled output drift {drift_max:.3e} exceeds {assembled_tol}")
-
+    # Certification in one pass: one forward per snapshot feeds the drift
+    # check of the output-preserving legs and the value floor of every
+    # reward at once.
     floor = None
     margins = None
     if rewards:
@@ -977,10 +925,22 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
                          [float(np.sum(r * mu_hat2)) for r in rewards]])
         floor = ends.min(axis=0)
         margins = np.full(len(rewards), np.inf)
-        for seg in segments:
-            values = _segment_value_matrix(mdp, arch, X, seg, rewards)
+    drift_max = 0.0
+    for seg, drift in legs:
+        if drift is None and not rewards:
+            continue
+        outputs = [forward(arch, p, X) for p in seg.points]
+        if drift is not None:
+            residual = drift.check(outputs)
+            seg.residuals[drift.name] = residual
+            drift_max = max(drift_max, float(residual.max()))
+        if rewards:
+            mu_hats = [occupancy(mdp, out) for out in outputs]
+            values = np.array([[float(np.sum(r * mu_hat)) for r in rewards]
+                               for mu_hat in mu_hats])
             seg.residuals["values"] = values
             margins = np.minimum(margins, values.min(axis=0) - floor)
+    if rewards:
         worst = int(np.argmin(margins))
         if margins[worst] < -assembled_tol:
             raise BoundViolated(

@@ -20,8 +20,6 @@ from .mdp import (check_policy, occupancy, policy_from_occupancy,
 
 VALUE_BOUND_TOL = 1e-9
 DEFAULT_GRID_SIZE = 101
-REFINE_JUMP_FRACTION = 0.05
-REFINE_MAX_DEPTH = 8
 
 
 @dataclass
@@ -93,41 +91,35 @@ def _endpoint_stationaries(mdp, pi1, pi2):
     return mu1, mu2
 
 
+def _evaluate(mdp, pi1, pi2, mu1, mu2, alphas, rewards):
+    """Policy, reward values and both linearity residuals at each alpha."""
+    mu_hat1 = mu1[:, None] * pi1
+    mu_hat2 = mu2[:, None] * pi2
+    points, values, stat_res, occ_res = [], [], [], []
+    for alpha in alphas:
+        pi_a = interpolate_policies(mdp, pi1, pi2, alpha, mu1=mu1, mu2=mu2)
+        mu_hat_a = occupancy(mdp, pi_a)
+        mu_a = mu_hat_a.sum(axis=1)
+        points.append(pi_a)
+        values.append([float(np.sum(r * mu_hat_a)) for r in rewards])
+        stat_res.append(np.max(np.abs(mu_a - (alpha * mu1 + (1 - alpha) * mu2))))
+        occ_res.append(np.max(np.abs(
+            mu_hat_a - (alpha * mu_hat1 + (1 - alpha) * mu_hat2))))
+    return points, np.asarray(values), np.asarray(stat_res), np.asarray(occ_res)
+
+
 def verify_stationary_linearity(mdp, pi1, pi2, grid=None):
     """Residuals of mu_{pi_alpha} against the endpoint blend, per grid point."""
-    if grid is None:
-        grid = uniform_grid()
+    grid = uniform_grid() if grid is None else np.asarray(grid)
     pi1 = check_policy(pi1, mdp.n_states, mdp.n_actions)
     pi2 = check_policy(pi2, mdp.n_states, mdp.n_actions)
     mu1, mu2 = _endpoint_stationaries(mdp, pi1, pi2)
-    residuals = []
-    for alpha in grid:
-        pi_a = interpolate_policies(mdp, pi1, pi2, alpha, mu1=mu1, mu2=mu2)
-        mu_a = stationary_distribution(transition_matrix(mdp, pi_a)).mu
-        residuals.append(np.max(np.abs(mu_a - (alpha * mu1 + (1 - alpha) * mu2))))
-    residuals = np.asarray(residuals)
-    return {"grid": np.asarray(grid), "residuals": residuals,
+    _, _, residuals, _ = _evaluate(mdp, pi1, pi2, mu1, mu2, grid, [])
+    return {"grid": grid, "residuals": residuals,
             "max_residual": float(residuals.max())}
 
 
-def _refine_grid(grid, values, max_depth=REFINE_MAX_DEPTH,
-                 jump_fraction=REFINE_JUMP_FRACTION):
-    """Alphas to insert where some value curve jumps more than the threshold."""
-    spread = values.max(axis=0) - values.min(axis=0)
-    spread = np.maximum(spread, 1e-300)
-    inserts = []
-    jumps = np.abs(np.diff(values, axis=0)) / spread[None, :]
-    for i in np.nonzero(jumps.max(axis=1) > jump_fraction)[0]:
-        lo, hi = grid[i], grid[i + 1]
-        depth = 1
-        while depth <= max_depth:
-            inserts.append((lo + hi) / 2.0)
-            hi = (lo + hi) / 2.0
-            depth += 1
-    return inserts
-
-
-def verify_equiconnectedness(mdp, pi1, pi2, rewards, grid=None, refine=True,
+def verify_equiconnectedness(mdp, pi1, pi2, rewards, grid=None,
                              tol=VALUE_BOUND_TOL):
     """Certify the shared path against every reward in ``rewards``.
 
@@ -143,29 +135,8 @@ def verify_equiconnectedness(mdp, pi1, pi2, rewards, grid=None, refine=True,
     pi2 = check_policy(pi2, mdp.n_states, mdp.n_actions)
     rewards = [np.asarray(r, dtype=float) for r in rewards]
     mu1, mu2 = _endpoint_stationaries(mdp, pi1, pi2)
-    mu_hat1 = mu1[:, None] * pi1
-    mu_hat2 = mu2[:, None] * pi2
-
-    def evaluate(alphas):
-        points, values, stat_res, occ_res = [], [], [], []
-        for alpha in alphas:
-            pi_a = interpolate_policies(mdp, pi1, pi2, alpha, mu1=mu1, mu2=mu2)
-            mu_hat_a = occupancy(mdp, pi_a)
-            mu_a = mu_hat_a.sum(axis=1)
-            points.append(pi_a)
-            values.append([float(np.sum(r * mu_hat_a)) for r in rewards])
-            stat_res.append(np.max(np.abs(mu_a - (alpha * mu1 + (1 - alpha) * mu2))))
-            occ_res.append(np.max(np.abs(
-                mu_hat_a - (alpha * mu_hat1 + (1 - alpha) * mu_hat2))))
-        return points, np.asarray(values), np.asarray(stat_res), np.asarray(occ_res)
-
-    points, values, stat_res, occ_res = evaluate(grid)
-    if refine and values.size:
-        inserts = _refine_grid(grid, values)
-        if inserts:
-            extra = np.asarray(sorted(set(inserts)))
-            grid = np.unique(np.concatenate([grid, extra]))
-            points, values, stat_res, occ_res = evaluate(grid)
+    points, values, stat_res, occ_res = _evaluate(mdp, pi1, pi2, mu1, mu2,
+                                                  grid, rewards)
 
     floors = values[np.isclose(grid, 1.0)][0], values[np.isclose(grid, 0.0)][0]
     floor = np.minimum(*floors) if rewards else np.zeros(0)

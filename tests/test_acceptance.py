@@ -69,8 +69,8 @@ def test_criterion_02_tabular_schedule_reward_independent():
         pi2 = rng.dirichlet(np.ones(2), size=3)
         r_a = [rng.uniform(size=(3, 2)) for _ in range(3)]
         r_b = [rng.uniform(-1.0, 1.0, size=(3, 2)) for _ in range(20)]
-        t_a = verify_equiconnectedness(mdp, pi1, pi2, r_a, refine=False)
-        t_b = verify_equiconnectedness(mdp, pi1, pi2, r_b, refine=False)
+        t_a = verify_equiconnectedness(mdp, pi1, pi2, r_a)
+        t_b = verify_equiconnectedness(mdp, pi1, pi2, r_b)
         blob = lambda t: t.alphas.tobytes() + b"".join(p.tobytes()
                                                        for p in t.points)
         ok = ok and blob(t_a) == blob(t_b)

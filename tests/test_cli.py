@@ -7,8 +7,8 @@ import os
 
 import pytest
 
-from policypaths.cli import (EXIT_PASS, EXIT_VIOLATION, RunConfig,
-                             build_parser, main)
+from policypaths.cli import (EXIT_ERROR, EXIT_PASS, EXIT_VIOLATION,
+                             RunConfig, _exit_code, build_parser, main)
 
 
 def run(argv):
@@ -44,6 +44,8 @@ def test_gen_mdp_deterministic(tmp_path):
     inst = read_json(os.path.join(out_a, "mdp_0000.json"))
     assert inst["ergodic"]
     assert "kernel" in inst["mdp"]
+    meta = read_json(os.path.join(out_a, "metadata.json"))
+    assert set(meta["versions"]) == {"python", "numpy", "scipy", "policypaths"}
 
 
 def test_tabular_verify_passes(tmp_path):
@@ -75,6 +77,28 @@ def test_attack_and_defend(tmp_path):
     out2 = str(tmp_path / "def")
     assert run(["defend", "--instances", "3", "--seed", "5",
                 "--out", out2]) == EXIT_PASS
+
+
+def test_attack_size_cap_is_operational_error(tmp_path):
+    # 3^11 deterministic policies exceed the enumeration cap: an
+    # operational failure, not a violated certificate
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": 1, "n_states": [11, 11],
+                               "n_actions": [3, 3]}))
+    out = str(tmp_path / "cap")
+    assert run(["attack", "--config", str(cfg), "--out", out]) == EXIT_ERROR
+    report = read_json(os.path.join(out, "attack.json"))
+    assert report["instances"][0]["error_type"] == "CapExceeded"
+
+
+def test_exit_code_taxonomy():
+    passed = {"id": 0, "ok": True}
+    drift = {"id": 1, "ok": False, "error_type": "OutputDrift"}
+    gap = {"id": 2, "ok": False}            # failed its own certificate check
+    cap = {"id": 3, "ok": False, "error_type": "CapExceeded"}
+    assert _exit_code([passed]) == EXIT_PASS
+    assert _exit_code([passed, drift, gap]) == EXIT_VIOLATION
+    assert _exit_code([drift, cap]) == EXIT_ERROR
 
 
 def test_minimax_gap_report(tmp_path):

@@ -378,3 +378,22 @@ def test_assemble_value_floor_multiple_rewards():
                     float(np.sum(r * occupancy(mdp, pi_2))))
         assert abs(path.certificate["value_floor"][j] - floor) < 1e-12
         assert path.certificate["value_margins"][j] >= -1e-6
+
+
+def test_assemble_residuals_cover_every_snapshot():
+    mdp = random_ergodic_mdp(28, 3, 2)
+    rng = np.random.default_rng(28)
+    rewards = [rng.uniform(-1.0, 1.0, size=(3, 2)) for _ in range(4)]
+    path = assemble_nn_path(mdp, ARCH, X3, random_theta(ARCH, 28),
+                            random_theta(ARCH, 29), rewards=rewards,
+                            grid=uniform_grid(21))
+    for seg in path.segments:
+        n = len(seg.alphas)
+        assert len(seg.points) == n
+        assert seg.residuals["values"].shape == (n, len(rewards))
+        if seg.kind == "tabular-lift":
+            assert "output_drift" not in seg.residuals
+        else:
+            assert seg.residuals["output_drift"].shape == (n,)
+            assert seg.max_residual("output_drift") \
+                <= path.certificate["max_output_drift"]

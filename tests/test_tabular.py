@@ -115,11 +115,12 @@ def test_equiconnectedness_snapshots_reward_independent():
     pi2 = random_policy(rng, 3, 2)
     r_a = [rng.uniform(size=(3, 2)) for _ in range(3)]
     r_b = [rng.uniform(-1.0, 1.0, size=(3, 2)) for _ in range(7)]
-    t_a = verify_equiconnectedness(mdp, pi1, pi2, r_a, refine=False)
-    t_b = verify_equiconnectedness(mdp, pi1, pi2, r_b, refine=False)
-    blob_a = t_a.alphas.tobytes() + b"".join(p.tobytes() for p in t_a.points)
-    blob_b = t_b.alphas.tobytes() + b"".join(p.tobytes() for p in t_b.points)
-    assert blob_a == blob_b
+    for grid in (None, uniform_grid(21)):
+        t_a = verify_equiconnectedness(mdp, pi1, pi2, r_a, grid=grid)
+        t_b = verify_equiconnectedness(mdp, pi1, pi2, r_b, grid=grid)
+        blob_a = t_a.alphas.tobytes() + b"".join(p.tobytes() for p in t_a.points)
+        blob_b = t_b.alphas.tobytes() + b"".join(p.tobytes() for p in t_b.points)
+        assert blob_a == blob_b
 
 
 def test_trace_csv_shape():
