@@ -14,7 +14,8 @@ class PropertyViolation(PolicyPathsError):
 
 
 class NonConvergence(PolicyPathsError):
-    """An iterative solver failed to reach its tolerance within the cap."""
+    """A stationary solve failed: the chain is not ergodic, or the balance
+    residual misses its tolerance."""
 
 
 class ZeroStateMass(PolicyPathsError):

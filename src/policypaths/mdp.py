@@ -2,7 +2,10 @@
 
 Conventions: the transition kernel is indexed ``kernel[s, a, s']``; the
 induced state transition matrix is column-stochastic with entry ``(s', s)``
-so that the stationary distribution satisfies ``mu = P @ mu``.
+so that the stationary distribution satisfies ``mu = P @ mu``.  Every
+stationary distribution, and so every occupancy measure and average reward,
+comes from one exact GTH elimination per chain, which also decides
+ergodicity from the chain's graph.
 """
 
 import itertools
@@ -16,7 +19,6 @@ from .errors import CapExceeded, NonConvergence, ZeroStateMass
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
-STATIONARY_CAP = 10 ** 6
 ENUMERATION_CAP = 10 ** 5
 DEFAULT_REWARD_BOUND = 1.0
 
@@ -88,7 +90,7 @@ class StationaryDistribution:
 
     mu: np.ndarray
     residual: float
-    iterations: int
+    iterations: int           # always 1: the solve is one direct elimination
 
 
 @dataclass
@@ -121,33 +123,47 @@ def transition_matrix(mdp, pi):
     return np.einsum("sap,sa->ps", mdp.kernel, pi)
 
 
-def stationary_distribution(P, tol=STATIONARY_TOL, max_iter=STATIONARY_CAP):
-    """Stationary distribution of a column-stochastic matrix by power iteration.
+def stationary_distribution(P, tol=STATIONARY_TOL, max_iter=None):
+    """Stationary distribution of a column-stochastic matrix by GTH elimination.
 
-    Raises NonConvergence when the residual fails to reach ``tol`` within
-    ``max_iter`` iterations (a symptom of a non-ergodic or periodic chain).
+    One Grassmann-Taksar-Heyman elimination (Oper. Res. 1985) on the
+    row-stochastic transpose, followed by back-substitution.  The elimination
+    never subtracts, so it stays accurate on slow-mixing and nearly
+    decomposable chains.  Raises NonConvergence when the chain is not
+    ergodic, judged from its graph: a zero pivot means some state cannot
+    reach state 0, a zero mass after back-substitution means state 0 cannot
+    reach some state, and a chain without self-loops is checked with
+    ``_period``.  It also raises when the balance residual exceeds ``tol``.
+    ``max_iter`` is accepted for compatibility and unused: the solve is
+    direct, and ``iterations`` is always 1.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
     if P.shape != (n, n):
         raise ValueError("P must be square")
-    if np.max(np.abs(P.sum(axis=0) - 1.0)) > 1e-10:
+    if not (P.min() >= 0.0 and np.abs(P.sum(axis=0) - 1.0).max() <= 1e-10):
         raise ValueError("P must be column-stochastic")
-    # Asymmetric deterministic start: the uniform vector solves the balance
-    # equation of some periodic chains exactly, masking non-convergence.
-    mu = np.arange(1.0, n + 1.0)
+    A = P.T.copy()  # row-stochastic: A[s, s'] = P(s' | s)
+    for k in range(n - 1, 0, -1):
+        pivot = A[k, :k].sum()
+        if pivot <= 0.0:
+            raise NonConvergence(f"reducible chain: state {k} cannot reach state 0")
+        A[:k, k] /= pivot
+        A[:k, :k] += np.multiply.outer(A[:k, k], A[k, :k])
+    mu = np.empty(n)
+    mu[0] = 1.0
+    for k in range(1, n):
+        mu[k] = mu[:k] @ A[:k, k]
+    if mu.min() <= 0.0:
+        raise NonConvergence(
+            f"reducible chain: state 0 cannot reach state {int(np.argmin(mu > 0.0))}")
+    if P.trace() <= 0.0 and _period(P) != 1:  # a self-loop proves aperiodicity
+        raise NonConvergence("periodic chain: the stationary distribution is not a limit")
     mu /= mu.sum()
-    for it in range(1, max_iter + 1):
-        nxt = P @ mu
-        nxt /= nxt.sum()
-        residual = np.max(np.abs(P @ nxt - nxt))
-        if residual <= tol:
-            return StationaryDistribution(mu=nxt, residual=float(residual), iterations=it)
-        mu = nxt
-    raise NonConvergence(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations "
-        f"(last residual {residual:.3e}); the chain may be non-ergodic"
-    )
+    residual = float(np.abs(P @ mu - mu).max())
+    if not residual <= tol:
+        raise NonConvergence(f"balance residual {residual:.3e} exceeds tol={tol}")
+    return StationaryDistribution(mu=mu, residual=residual, iterations=1)
 
 
 def occupancy(mdp, pi):

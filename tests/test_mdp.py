@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from policypaths.errors import CapExceeded, NonConvergence, ZeroStateMass
 from policypaths.mdp import (Mdp, average_reward, check_ergodicity,
@@ -12,6 +13,7 @@ from policypaths.mdp import (Mdp, average_reward, check_ergodicity,
                              enumerate_deterministic_policies, occupancy,
                              policy_from_occupancy, random_ergodic_mdp,
                              stationary_distribution, transition_matrix)
+from ring_kernels import lazy_ring, ring_kernel
 
 
 def uniform_policy(s, a):
@@ -64,6 +66,60 @@ def test_stationary_periodic_chain_raises():
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NonConvergence):
         stationary_distribution(P, max_iter=2000)
+
+
+def test_stationary_two_closed_classes_raises():
+    # states 0 and 1 are absorbing and state 2 splits between them: every
+    # mixture of the two point masses balances, so none is the answer
+    P = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
+    with pytest.raises(NonConvergence, match="reducible"):
+        stationary_distribution(P)
+
+
+def test_stationary_transient_state_raises():
+    # unichain: state 2 is transient, so the stationary distribution exists
+    # but is not positive and the chain is not ergodic
+    P = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0]])
+    with pytest.raises(NonConvergence, match="reducible"):
+        stationary_distribution(P)
+
+
+@pytest.mark.parametrize("P", [[[1.5, 0.5], [-0.5, 0.5]],
+                               [[np.nan, 0.5], [0.5, 0.5]]])
+def test_stationary_rejects_non_stochastic(P):
+    # columns sum to 1, but a negative or NaN entry is no probability
+    with pytest.raises(ValueError):
+        stationary_distribution(np.array(P))
+
+
+def test_stationary_aperiodic_without_self_loops():
+    # cycles 0-1-0 and 0-1-2-0 have coprime lengths: aperiodic, mu = (2,2,1)/5
+    P = np.array([[0.0, 0.5, 1.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    res = stationary_distribution(P)
+    assert np.allclose(res.mu, [0.4, 0.4, 0.2], atol=1e-15)
+
+
+@pytest.mark.parametrize("stay", [1e-2, 1e-3])
+def test_stationary_slow_lazy_ring_is_uniform(stay):
+    # nearly periodic ergodic chain: it mixes ever more slowly as stay -> 0
+    res = stationary_distribution(lazy_ring(50, stay))
+    assert np.max(np.abs(res.mu - 1.0 / 50)) <= 1e-12
+    assert res.residual <= 1e-12
+    assert res.iterations == 1
+
+
+@pytest.mark.parametrize("n_states", [16, 48, 200])
+def test_stationary_sparse_ring_matches_null_space(n_states):
+    rng = np.random.default_rng(n_states)
+    kernel = ring_kernel(rng, n_states, 3)
+    pi = rng.dirichlet(np.ones(3), size=n_states)
+    P = np.einsum("sap,sa->ps", kernel, pi)
+    res = stationary_distribution(P)
+    reference = null_space(P - np.eye(n_states))[:, 0]
+    reference /= reference.sum()
+    assert np.max(np.abs(res.mu - reference)) <= 1e-12
+    assert np.all(res.mu > 0)
+    assert res.residual <= 1e-12
 
 
 def test_occupancy_single_state_is_policy_row():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from policypaths.errors import BoundViolated
-from policypaths.mdp import (Mdp, average_reward, occupancy,
+from policypaths.mdp import (Mdp, average_reward, check_ergodicity, occupancy,
                              random_ergodic_mdp, stationary_distribution,
                              transition_matrix)
 from policypaths.tabular import (interpolate_policies, select_preferred_on_path,
                                  uniform_grid, verify_equiconnectedness,
                                  verify_stationary_linearity)
+from ring_kernels import ring_mdp
 
 
 def random_policy(rng, s, a):
@@ -96,6 +97,24 @@ def test_equiconnectedness_value_floor_and_linearity():
         floors = np.minimum(trace.values[trace.alphas == 1.0][0],
                             trace.values[trace.alphas == 0.0][0])
         assert np.all(trace.values >= floors[None, :] - 1e-9)
+
+
+@pytest.mark.parametrize("n_states", [6, 32])
+def test_equiconnectedness_sparse_slow_ring(n_states):
+    # sparse slow-mixing kernels at the acceptance tolerances (criterion 1);
+    # at |S|=6 the enumeration certifies ergodicity, at |S|=32 the ring and
+    # self-loop in every row do
+    mdp = ring_mdp(300 + n_states, n_states, 3)
+    if n_states == 6:
+        assert check_ergodicity(mdp).ergodic
+    rng = np.random.default_rng(n_states)
+    pi1 = random_policy(rng, n_states, 3)
+    pi2 = random_policy(rng, n_states, 3)
+    rewards = [rng.uniform(-1.0, 1.0, size=(n_states, 3)) for _ in range(20)]
+    trace = verify_equiconnectedness(mdp, pi1, pi2, rewards,
+                                     grid=uniform_grid(101), tol=1e-9)
+    assert trace.max_residual("stationary_linearity") <= 1e-8
+    assert trace.max_residual("occupancy_linearity") <= 1e-8
 
 
 def test_equiconnectedness_endpoint_snapshots_exact():
