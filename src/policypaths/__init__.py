@@ -3,8 +3,7 @@ and the gradient-domination/connectivity counterexample pair."""
 
 from .attack import (AttackResult, AttackSpec, RewardRegion, attack,
                      det_occupancies, maxmin_value, minimax_gap, minmax_value,
-                     nn_minimax_gap, poisoning_report, region_from_anchor,
-                     region_membership)
+                     nn_minimax_gap, region_from_anchor)
 from .errors import PolicyPathsError
 from .landscape import (ScalarField2D, census, eval_f, eval_g, field_f,
                         field_g, find_stationary_points, grad_f, grad_g,

@@ -23,6 +23,7 @@ MARGIN_ACTIVITY_TOL = 1e-7
 KKT_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-7
 CROSS_CHECK_TOL = 1e-5
+EG_ITERS = 60000
 
 
 def _as_assignment(mdp, target):
@@ -107,7 +108,7 @@ def attack(mdp, spec, kkt_tol=KKT_TOL):
     A, _ = _constraint_rows(mdp, assignment)
     b = np.full(A.shape[0], spec.margin)
     r = mdp.reward.ravel()
-    x, lam, _ = project_polyhedron(r, A=A, b=b)
+    x, lam = project_polyhedron(r, A, b)
     margins = A @ x
     stationarity = np.linalg.norm(x - r - A.T @ lam, ord=np.inf)
     feasibility = max(0.0, float(np.max(b - margins)))
@@ -176,7 +177,7 @@ def region_from_anchor(mdp, spec, anchor, tol=KKT_TOL):
     A, _ = _constraint_rows(mdp, assignment)
     b = np.full(A.shape[0], spec.margin)
     anchor = np.asarray(anchor, dtype=float).ravel()
-    reproj, _, _ = project_polyhedron(anchor, A=A, b=b)
+    reproj, _ = project_polyhedron(anchor, A, b)
     if np.linalg.norm(reproj - anchor, ord=np.inf) > tol:
         raise AnchorInvalid(
             f"anchor moves by {np.linalg.norm(reproj - anchor):.3e} under "
@@ -185,10 +186,6 @@ def region_from_anchor(mdp, spec, anchor, tol=KKT_TOL):
     active = np.nonzero(margins - b <= MARGIN_ACTIVITY_TOL)[0]
     return RewardRegion(anchor=anchor, generators=A[active].T,
                         bound=mdp.reward_bound)
-
-
-def region_membership(region, r, tol=MEMBERSHIP_TOL):
-    return region.contains(r, tol=tol)
 
 
 def _occupancy_constraints(mdp):
@@ -217,8 +214,7 @@ def inner_min_over_region(mdp, region, mu_hat_flat):
     return sol.optimum, sol.x[:n]
 
 
-def maxmin_value(mdp, region, cross_check=True, cross_check_tol=CROSS_CHECK_TOL,
-                 eg_iters=60000):
+def maxmin_value(mdp, region, cross_check=True):
     """Best worst-case average reward over the defender's region.
 
     Solved as one LP by dualizing the inner minimization; optionally
@@ -252,14 +248,14 @@ def maxmin_value(mdp, region, cross_check=True, cross_check_tol=CROSS_CHECK_TOL,
     _, worst_reward = inner_min_over_region(mdp, region, mu_hat)
 
     if cross_check:
-        eg_value = _maxmin_extragradient(mdp, region, iters=eg_iters)
-        if abs(eg_value - value) > cross_check_tol:
+        eg_value = _maxmin_extragradient(mdp, region)
+        if abs(eg_value - value) > CROSS_CHECK_TOL:
             raise CrossCheckMismatch(
                 f"extragradient value {eg_value:.8f} vs LP value {value:.8f}")
     return value, mu_hat, worst_reward
 
 
-def _maxmin_extragradient(mdp, region, iters=60000):
+def _maxmin_extragradient(mdp, region):
     """Independent route to the maxmin value: extragradient on the saddle
     with projection oracles for both feasible sets.
 
@@ -267,7 +263,7 @@ def _maxmin_extragradient(mdp, region, iters=60000):
     iterate, so it underestimates the true maxmin by at most the achieved
     duality gap.
     """
-    from .numerics import dykstra, project_affine
+    from .numerics import dykstra
 
     A_eq_occ, b_eq_occ = _occupancy_constraints(mdp)
     n = region.anchor.size
@@ -294,7 +290,7 @@ def _maxmin_extragradient(mdp, region, iters=60000):
     result = extragradient_saddle(
         np.eye(n), project_occ, project_region,
         x0=np.full(n, 1.0 / n), y0=region.anchor.copy(),
-        iters=iters, gap_oracle=gap, gap_tol=2e-6, check_every=500)
+        iters=EG_ITERS, gap_oracle=gap, gap_tol=2e-6, check_every=500)
     inner, _ = inner_min_over_region(mdp, region,
                                      np.maximum(result.x, 0.0))
     return inner
@@ -353,22 +349,3 @@ def nn_minimax_gap(mdp, arch, X, region, seed=0, floor=1e-9,
     return {"maxmin": value, "network_value": net_value,
             "gap": abs(value - net_value), "theta": theta}
 
-
-def poisoning_report(mdp, spec, result, region, game=None):
-    """JSON-ready summary of an attack plus the defender's game values."""
-    report = {
-        "n_states": mdp.n_states,
-        "n_actions": mdp.n_actions,
-        "reward_bound": mdp.reward_bound,
-        "target": np.asarray(spec.target, dtype=int).tolist(),
-        "margin": spec.margin,
-        "attack": result.to_dict(),
-        "region": {"n_generators": int(region.generators.shape[1]),
-                   "anchor_in_box": bool(
-                       region.anchor.min() >= 0.0
-                       and region.anchor.max() <= region.bound)},
-    }
-    if game is not None:
-        report["game"] = {"maxmin": game["maxmin"], "minmax": game["minmax"],
-                          "gap": game["gap"]}
-    return report

@@ -5,7 +5,8 @@ induced state transition matrix is column-stochastic with entry ``(s', s)``
 so that the stationary distribution satisfies ``mu = P @ mu``.  Every
 stationary distribution, and so every occupancy measure and average reward,
 comes from one exact GTH elimination per chain, which also decides
-ergodicity from the chain's graph.
+ergodicity from the chain's graph.  ``check_ergodicity`` takes its verdict
+for every deterministic policy from that same elimination.
 """
 
 import itertools
@@ -126,14 +127,9 @@ def transition_matrix(mdp, pi):
 def stationary_distribution(P, tol=STATIONARY_TOL, max_iter=None):
     """Stationary distribution of a column-stochastic matrix by GTH elimination.
 
-    One Grassmann-Taksar-Heyman elimination (Oper. Res. 1985) on the
-    row-stochastic transpose, followed by back-substitution.  The elimination
-    never subtracts, so it stays accurate on slow-mixing and nearly
-    decomposable chains.  Raises NonConvergence when the chain is not
-    ergodic, judged from its graph: a zero pivot means some state cannot
-    reach state 0, a zero mass after back-substitution means state 0 cannot
-    reach some state, and a chain without self-loops is checked with
-    ``_period``.  It also raises when the balance residual exceeds ``tol``.
+    One exact, subtraction-free elimination (``_gth``).  Raises
+    NonConvergence when the chain is not ergodic, judged from its graph
+    (reducible or periodic), and when the balance residual exceeds ``tol``.
     ``max_iter`` is accepted for compatibility and unused: the solve is
     direct, and ``iterations`` is always 1.
     """
@@ -143,22 +139,9 @@ def stationary_distribution(P, tol=STATIONARY_TOL, max_iter=None):
         raise ValueError("P must be square")
     if not (P.min() >= 0.0 and np.abs(P.sum(axis=0) - 1.0).max() <= 1e-10):
         raise ValueError("P must be column-stochastic")
-    A = P.T.copy()  # row-stochastic: A[s, s'] = P(s' | s)
-    for k in range(n - 1, 0, -1):
-        pivot = A[k, :k].sum()
-        if pivot <= 0.0:
-            raise NonConvergence(f"reducible chain: state {k} cannot reach state 0")
-        A[:k, k] /= pivot
-        A[:k, :k] += np.multiply.outer(A[:k, k], A[k, :k])
-    mu = np.empty(n)
-    mu[0] = 1.0
-    for k in range(1, n):
-        mu[k] = mu[:k] @ A[:k, k]
-    if mu.min() <= 0.0:
-        raise NonConvergence(
-            f"reducible chain: state 0 cannot reach state {int(np.argmin(mu > 0.0))}")
-    if P.trace() <= 0.0 and _period(P) != 1:  # a self-loop proves aperiodicity
-        raise NonConvergence("periodic chain: the stationary distribution is not a limit")
+    mu = _gth(P)
+    if isinstance(mu, tuple):
+        raise NonConvergence("%s chain: %s" % mu)
     mu /= mu.sum()
     residual = float(np.abs(P @ mu - mu).max())
     if not residual <= tol:
@@ -166,11 +149,43 @@ def stationary_distribution(P, tol=STATIONARY_TOL, max_iter=None):
     return StationaryDistribution(mu=mu, residual=residual, iterations=1)
 
 
+def _gth(P):
+    """Unnormalised stationary vector of a column-stochastic P, or the
+    verdict ``(reason, detail)`` with reason "reducible" or "periodic".
+
+    One Grassmann-Taksar-Heyman elimination (Oper. Res. 1985) on the
+    row-stochastic transpose, followed by back-substitution.  The elimination
+    never subtracts, so it stays accurate on slow-mixing and nearly
+    decomposable chains, and the zero pattern of every pivot and mass is
+    exact.  A zero pivot means some state cannot reach state 0, and a zero
+    mass means state 0 cannot reach some state: together they decide
+    irreducibility.  A self-loop proves an irreducible chain aperiodic;
+    without one, ``_period`` decides.
+    """
+    n = P.shape[0]
+    A = P.T.copy()  # row-stochastic: A[s, s'] = P(s' | s)
+    for k in range(n - 1, 0, -1):
+        pivot = A[k, :k].sum()
+        if pivot <= 0.0:
+            return "reducible", f"state {k} cannot reach state 0"
+        A[:k, k] /= pivot
+        A[:k, :k] += np.multiply.outer(A[:k, k], A[k, :k])
+    mu = np.empty(n)
+    mu[0] = 1.0
+    for k in range(1, n):
+        mu[k] = mu[:k] @ A[:k, k]
+    if mu.min() <= 0.0:
+        return "reducible", f"state 0 cannot reach state {int(np.argmin(mu > 0.0))}"
+    if P.trace() <= 0.0 and _period(P) != 1:
+        return "periodic", "the stationary distribution is not a limit"
+    return mu
+
+
 def occupancy(mdp, pi):
     """State-action stationary distribution mu_hat[s, a] induced by pi."""
-    pi = check_policy(pi, mdp.n_states, mdp.n_actions)
-    mu = stationary_distribution(transition_matrix(mdp, pi)).mu
-    return mu[:, None] * pi
+    P = transition_matrix(mdp, pi)
+    mu = stationary_distribution(P).mu
+    return mu[:, None] * np.asarray(pi, dtype=float)
 
 
 def policy_from_occupancy(mu_hat, tol=0.0):
@@ -187,15 +202,6 @@ def average_reward(mdp, pi, reward=None):
     if reward is None:
         reward = mdp.reward
     return float(np.sum(np.asarray(reward, dtype=float) * occupancy(mdp, pi)))
-
-
-def _strongly_connected(P):
-    adj = P.T > 0  # adj[s, s'] = reachable in one step
-    n = adj.shape[0]
-    from scipy.sparse.csgraph import connected_components
-
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
-    return n_comp == 1
 
 
 def _period(P):
@@ -226,15 +232,19 @@ def deterministic_policy(assignment, n_actions):
     return pi
 
 
-def enumerate_deterministic_policies(mdp, cap=ENUMERATION_CAP):
-    """All |A|^|S| point-mass policies in lexicographic assignment order."""
+def _assignments(mdp, cap):
+    """Action assignments of all |A|^|S| deterministic policies, in
+    lexicographic order; raises CapExceeded above ``cap``."""
     count = mdp.n_actions ** mdp.n_states
     if count > cap:
         raise CapExceeded(f"{count} deterministic policies exceed the cap {cap}")
-    return [
-        deterministic_policy(assignment, mdp.n_actions)
-        for assignment in itertools.product(range(mdp.n_actions), repeat=mdp.n_states)
-    ]
+    return itertools.product(range(mdp.n_actions), repeat=mdp.n_states)
+
+
+def enumerate_deterministic_policies(mdp, cap=ENUMERATION_CAP):
+    """All |A|^|S| point-mass policies in lexicographic assignment order."""
+    return [deterministic_policy(assignment, mdp.n_actions)
+            for assignment in _assignments(mdp, cap)]
 
 
 def check_ergodicity(mdp, cap=ENUMERATION_CAP):
@@ -242,21 +252,19 @@ def check_ergodicity(mdp, cap=ENUMERATION_CAP):
 
     Sufficient for all stochastic policies: the edge set of any policy's
     chain contains that of a deterministic selection from its support.
+    Each verdict comes from ``_gth``, the elimination behind
+    ``stationary_distribution``, so no policy of a certified MDP is one the
+    solver rejects as reducible or periodic.  The first failing assignment
+    in lexicographic order is the witness.
     """
-    count = mdp.n_actions ** mdp.n_states
-    if count > cap:
-        raise CapExceeded(f"{count} deterministic policies exceed the cap {cap}")
+    states = np.arange(mdp.n_states)
     checked = 0
-    for assignment in itertools.product(range(mdp.n_actions), repeat=mdp.n_states):
+    for assignment in _assignments(mdp, cap):
         checked += 1
-        P = transition_matrix(mdp, deterministic_policy(assignment, mdp.n_actions))
-        if not _strongly_connected(P):
+        verdict = _gth(mdp.kernel[states, assignment].T)
+        if isinstance(verdict, tuple):
             return ErgodicityCertificate(
-                ergodic=False, witness=assignment, reason="reducible",
-                checked_policies=checked)
-        if _period(P) != 1:
-            return ErgodicityCertificate(
-                ergodic=False, witness=assignment, reason="periodic",
+                ergodic=False, witness=assignment, reason=verdict[0],
                 checked_policies=checked)
     return ErgodicityCertificate(ergodic=True, checked_policies=checked)
 

@@ -1,15 +1,14 @@
 """Shared dense linear-algebra and optimization kernels.
 
 Everything here is desk scale: dense matrices with at most a few hundred
-rows.  The LP and NNLS kernels wrap SciPy; the polyhedral projection,
-extragradient, and Dykstra routines are self-contained so they can serve
-as independent cross-checks of each other.
+rows.  The LP and NNLS kernels wrap SciPy, and the polyhedral projection
+is one NNLS solve; the extragradient and Dykstra routines are
+self-contained so they can serve as independent cross-checks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .errors import Infeasible, IterationCap, LpFailure, Unbounded
@@ -97,67 +96,18 @@ def lp_solve(problem):
                       dual_ub=dual_ub, dual_eq=dual_eq)
 
 
-def project_polyhedron(z, A=None, b=None, A_eq=None, b_eq=None,
-                       tol=1e-11, max_iter=None):
-    """Euclidean projection of z onto {x : A x >= b, A_eq x = b_eq}.
+def project_polyhedron(z, A, b):
+    """Euclidean projection of z onto {x : A x >= b}.
 
-    Returns (x, lam, nu) with nonnegative inequality multipliers lam
-    satisfying x = z + A.T lam + A_eq.T nu.  Inequality-only problems go
-    through the least-distance reduction to nonnegative least squares,
-    which is robust to degenerate constraint sets; with equalities a
-    primal active-set method with exact linear solves is used.  Raises
-    Infeasible when the polyhedron is empty and IterationCap when the
-    (generous) active-set iteration cap is hit.
+    Returns (x, lam) with nonnegative multipliers lam satisfying
+    x = z + A.T lam.  Uses the least-distance-programming reduction: one
+    NNLS on the stacked system, with the point and multipliers read off its
+    residual, which is robust to degenerate constraint sets.  Raises
+    Infeasible when the polyhedron is empty.
     """
     z = np.asarray(z, dtype=float)
-    if (A_eq is None or np.size(A_eq) == 0) and A is not None:
-        x, lam = _project_ldp(z, np.asarray(A, dtype=float),
-                              np.asarray(b, dtype=float))
-        return x, lam, np.zeros(0)
-    n = z.size
-    A = np.zeros((0, n)) if A is None else np.asarray(A, dtype=float)
-    b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
-    A_eq = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    m, m_eq = A.shape[0], A_eq.shape[0]
-    if max_iter is None:
-        max_iter = 100 * (m + m_eq + 5)
-
-    scale = max(1.0, float(np.linalg.norm(z)))
-    working = []
-    for _ in range(max_iter):
-        M = np.vstack([A_eq, A[working]])
-        rhs = np.concatenate([b_eq, b[working]])
-        if M.shape[0]:
-            w, *_ = np.linalg.lstsq(M @ M.T, rhs - M @ z, rcond=None)
-            x = z + M.T @ w
-            lam_w = w[m_eq:]
-        else:
-            x = z.copy()
-            lam_w = np.zeros(0)
-        # Drop an active constraint with a negative multiplier.
-        if lam_w.size and lam_w.min() < -tol:
-            working.pop(int(np.argmin(lam_w)))
-            continue
-        # Add the most violated inactive constraint.
-        if m:
-            viol = b - A @ x
-            viol[working] = -np.inf
-            worst = int(np.argmax(viol))
-            if viol[worst] > tol * scale:
-                working.append(worst)
-                continue
-        lam = np.zeros(m)
-        lam[working] = np.maximum(lam_w, 0.0)
-        nu = w[:m_eq] if M.shape[0] else np.zeros(0)
-        return x, lam, nu
-    raise IterationCap("polyhedral projection active-set did not terminate")
-
-
-def _project_ldp(z, A, b):
-    """Projection onto {x : A x >= b} via the least-distance-programming
-    reduction: solve one NNLS on the stacked system and read the point
-    and multipliers off its residual."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
     m, n = A.shape
     h = b - A @ z
     if m == 0 or np.max(h) <= 0.0:

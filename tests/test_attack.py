@@ -7,8 +7,7 @@ import pytest
 from policypaths.attack import (AttackSpec, RewardRegion, attack,
                                 det_occupancies, inner_min_over_region,
                                 maxmin_value, minimax_gap, minmax_value,
-                                nn_minimax_gap, region_from_anchor,
-                                region_membership)
+                                nn_minimax_gap, region_from_anchor)
 from policypaths.errors import AnchorInvalid
 from policypaths.mdp import (Mdp, average_reward, deterministic_policy,
                              enumerate_deterministic_policies,
@@ -135,7 +134,7 @@ def test_region_membership_consistency_with_reprojection():
     agree = 0
     for _ in range(100):
         r = rng.uniform(0.0, 1.0, size=4)
-        member = region_membership(region, r)
+        member = region.contains(r)
         # oracle: the attack from r must return the anchor
         probe = Mdp(kernel=mdp.kernel, reward=r.reshape(2, 2))
         reattack = attack(probe, spec)

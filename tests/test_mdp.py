@@ -1,15 +1,20 @@
 """Tests for the MDP core: transition matrices, stationary distributions,
 occupancy measures, values, ergodicity, generators."""
 
+import collections
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.linalg import null_space
+from scipy.sparse.csgraph import connected_components
 
 from policypaths.errors import CapExceeded, NonConvergence, ZeroStateMass
-from policypaths.mdp import (Mdp, average_reward, check_ergodicity,
-                             deterministic_policy, discounted_to_average,
+from policypaths.mdp import (ErgodicityCertificate, Mdp, average_reward,
+                             check_ergodicity, deterministic_policy,
+                             discounted_to_average,
                              enumerate_deterministic_policies, occupancy,
                              policy_from_occupancy, random_ergodic_mdp,
                              stationary_distribution, transition_matrix)
@@ -179,28 +184,29 @@ def test_average_reward_single_state():
 
 
 def test_average_reward_monte_carlo():
-    # 10^6-step trajectory average as an independent oracle
+    # 1,000 independent trajectories of 1,000 recorded steps each (10^6
+    # transitions) as an independent oracle
     mdp = random_ergodic_mdp(19, 3, 2)
     rng = np.random.default_rng(19)
     pi = rng.dirichlet(np.ones(2), size=3)
     exact = average_reward(mdp, pi)
 
-    n_steps = 10 ** 6
-    s = 0
-    rewards = np.empty(n_steps)
-    actions = rng.choice(2, size=n_steps + 3 * 10)  # oversampled pools
-    state_draws = rng.random(n_steps)
+    n_chains, burn_in, n_steps = 1000, 50, 1000
     cdf = np.cumsum(mdp.kernel, axis=2)
     pi_cdf = np.cumsum(pi, axis=1)
-    act_draws = rng.random(n_steps)
-    for t in range(n_steps):
-        a = int(np.searchsorted(pi_cdf[s], act_draws[t]))
-        rewards[t] = mdp.reward[s, a]
-        s = int(np.searchsorted(cdf[s, a], state_draws[t]))
-    estimate = rewards.mean()
-    se = rewards.std(ddof=1) / np.sqrt(n_steps)
-    # correlated samples inflate the naive standard error; allow a wide
-    # multiple and 3x of it
+    s = rng.integers(3, size=n_chains)
+    totals = np.zeros(n_chains)
+    # inverse-CDF draws; the clip guards a cumulative sum that rounds below 1
+    for t in range(burn_in + n_steps):
+        a = np.minimum((rng.random((n_chains, 1)) > pi_cdf[s]).sum(axis=1), 1)
+        if t >= burn_in:
+            totals += mdp.reward[s, a]
+        s = np.minimum((rng.random((n_chains, 1)) > cdf[s, a]).sum(axis=1), 2)
+    chain_means = totals / n_steps
+    estimate = chain_means.mean()
+    se = chain_means.std(ddof=1) / np.sqrt(n_chains)
+    # per-chain means are independent, so se is honest; the bound is a
+    # generous 30 se (at least 3e-3)
     assert abs(estimate - exact) < 3 * max(se * 10, 1e-3)
 
 
@@ -281,6 +287,73 @@ def test_check_ergodicity_periodic_swap():
     cert = check_ergodicity(mdp)
     assert not cert.ergodic
     assert cert.reason == "periodic"
+
+
+def _reference_period(P):
+    """Period of an irreducible chain: gcd of BFS level differences over
+    its edges."""
+    n = P.shape[0]
+    level = [-1] * n
+    level[0] = 0
+    queue = collections.deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in np.nonzero(P[:, u] > 0)[0]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(v)
+    g = 0
+    for u in range(n):
+        for v in np.nonzero(P[:, u] > 0)[0]:
+            g = math.gcd(g, abs(level[u] + 1 - level[v]))
+    return g
+
+
+def _reference_ergodicity(mdp):
+    """Enumeration oracle: scipy strong connectivity, then the BFS period,
+    for every deterministic policy in lexicographic order."""
+    checked = 0
+    for assignment in itertools.product(range(mdp.n_actions),
+                                        repeat=mdp.n_states):
+        checked += 1
+        P = transition_matrix(mdp, deterministic_policy(assignment, mdp.n_actions))
+        n_comp, _ = connected_components(P.T > 0, directed=True,
+                                         connection="strong")
+        if n_comp != 1:
+            return ErgodicityCertificate(False, assignment, "reducible", checked)
+        if _reference_period(P) != 1:
+            return ErgodicityCertificate(False, assignment, "periodic", checked)
+    return ErgodicityCertificate(True, checked_policies=checked)
+
+
+def _sparse_kernel(rng, n_states, n_actions, self_loops):
+    """Random kernel whose rows have random supports; with ``self_loops``
+    false no row puts mass on its own state."""
+    density = rng.uniform(0.2, 1.0)
+    kernel = np.zeros((n_states, n_actions, n_states))
+    for s in range(n_states):
+        for a in range(n_actions):
+            allowed = [t for t in range(n_states) if self_loops or t != s]
+            support = [t for t in allowed if rng.random() < density]
+            if not support:
+                support = [allowed[int(rng.integers(len(allowed)))]]
+            kernel[s, a, support] = rng.dirichlet(np.ones(len(support)))
+    return Mdp(kernel=kernel, reward=np.zeros((n_states, n_actions)))
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_check_ergodicity_matches_enumeration_oracle(self_loops):
+    # |S| 1-5 with self-loops allowed, |S| 2-5 without any; each family
+    # yields ergodic, reducible and periodic verdicts
+    rng = np.random.default_rng(61 if self_loops else 67)
+    reasons = collections.Counter()
+    for _ in range(200):
+        n_states = int(rng.integers(1 if self_loops else 2, 6))
+        mdp = _sparse_kernel(rng, n_states, int(rng.integers(1, 4)), self_loops)
+        cert = check_ergodicity(mdp)
+        assert cert == _reference_ergodicity(mdp)
+        reasons[cert.reason] += 1
+    assert len(reasons) == 3 and min(reasons.values()) >= 10
 
 
 def test_enumeration_counts_and_order():

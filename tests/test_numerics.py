@@ -210,7 +210,7 @@ def test_project_polyhedron_halfspace_closed_form():
     z = np.array([0.0, 1.0])
     A = np.array([[1.0, -1.0]])
     b = np.array([0.5])
-    x, lam, _ = project_polyhedron(z, A=A, b=b)
+    x, lam = project_polyhedron(z, A=A, b=b)
     assert np.allclose(x, [0.75, 0.25], atol=1e-12)
     assert np.all(lam >= 0)
 
@@ -220,7 +220,7 @@ def test_project_polyhedron_feasible_point_unmoved():
     A = rng.normal(size=(5, 3))
     z = rng.normal(size=3)
     b = A @ z - np.abs(rng.normal(size=5))      # z strictly feasible
-    x, lam, _ = project_polyhedron(z, A=A, b=b)
+    x, lam = project_polyhedron(z, A=A, b=b)
     assert np.allclose(x, z)
     assert np.allclose(lam, 0.0)
 
@@ -232,23 +232,13 @@ def test_project_polyhedron_kkt_random():
         b = rng.normal(size=6)
         z = rng.normal(size=4)
         try:
-            x, lam, _ = project_polyhedron(z, A=A, b=b)
+            x, lam = project_polyhedron(z, A=A, b=b)
         except Infeasible:
             continue
         margins = A @ x - b
         assert margins.min() > -1e-8
         assert np.linalg.norm(x - z - A.T @ lam, ord=np.inf) < 1e-8
         assert np.max(np.abs(lam * margins)) < 1e-7
-
-
-def test_project_polyhedron_with_equalities():
-    z = np.array([2.0, 2.0])
-    A_eq = np.array([[1.0, 1.0]])
-    b_eq = np.array([1.0])
-    A = np.eye(2)
-    b = np.zeros(2)
-    x, lam, nu = project_polyhedron(z, A=A, b=b, A_eq=A_eq, b_eq=b_eq)
-    assert np.allclose(x, [0.5, 0.5], atol=1e-10)
 
 
 def test_project_polyhedron_infeasible():
