@@ -24,7 +24,7 @@ from .network import (AssumptionReport, NetArchitecture, Theta,
                       softmax_rows, value_of_theta)
 from .tabular import (PathTrace, interpolate_policies,
                       select_preferred_on_path, uniform_grid,
-                      verify_equiconnectedness, verify_stationary_linearity)
+                      verify_equiconnectedness)
 
 __version__ = "0.1.0"
 

@@ -17,13 +17,14 @@ from .errors import AnchorInvalid, CrossCheckMismatch, Infeasible
 from .mdp import (check_policy, deterministic_policy,
                   enumerate_deterministic_policies, occupancy)
 from .numerics import (LpProblem, extragradient_saddle, lp_solve, nnls,
-                       project_box, project_polyhedron)
+                       project_polyhedron)
 
 MARGIN_ACTIVITY_TOL = 1e-7
 KKT_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-7
 CROSS_CHECK_TOL = 1e-5
 EG_ITERS = 60000
+REALIZE_FLOOR = 1e-9
 
 
 def _as_assignment(mdp, target):
@@ -70,16 +71,6 @@ class AttackResult:
     active: np.ndarray              # indices of active constraints
     kkt_residual: float
 
-    def to_dict(self):
-        return {
-            "poisoned": self.poisoned.tolist(),
-            "cost": self.cost,
-            "margins": self.margins.tolist(),
-            "multipliers": self.multipliers.tolist(),
-            "active": self.active.tolist(),
-            "kkt_residual": self.kkt_residual,
-        }
-
 
 def _constraint_rows(mdp, assignment):
     """Gradient rows (target occupancy minus competitor occupancy) and the
@@ -95,7 +86,7 @@ def _constraint_rows(mdp, assignment):
     return rows, target_index
 
 
-def attack(mdp, spec, kkt_tol=KKT_TOL):
+def attack(mdp, spec):
     """Minimal-norm poisoned reward making the target policy beat every
     other deterministic policy by at least the margin.
 
@@ -114,8 +105,8 @@ def attack(mdp, spec, kkt_tol=KKT_TOL):
     feasibility = max(0.0, float(np.max(b - margins)))
     complementarity = float(np.max(np.abs(lam * (margins - b)))) if lam.size else 0.0
     kkt = max(stationarity, feasibility, complementarity)
-    if kkt > kkt_tol:
-        raise Infeasible(f"projection KKT residual {kkt:.3e} exceeds {kkt_tol}")
+    if kkt > KKT_TOL:
+        raise Infeasible(f"projection KKT residual {kkt:.3e} exceeds {KKT_TOL}")
     active = np.nonzero(margins - b <= MARGIN_ACTIVITY_TOL)[0]
     return AttackResult(poisoned=x.reshape(mdp.reward.shape),
                         cost=float(np.linalg.norm(x - r)),
@@ -152,21 +143,16 @@ class RewardRegion:
         lam, _ = nnls(self.generators, self.anchor - z)
         return self.anchor - self.generators @ lam
 
-    def project(self, z, tol=1e-12, max_iter=5000):
+    def project(self, z, max_iter=5000):
         """Projection onto the full region via alternating projections."""
         from .numerics import dykstra
         return dykstra(np.asarray(z, dtype=float).ravel(),
                        [self.project_cone_translate,
-                        lambda v: project_box(v, 0.0, self.bound)],
-                       tol=tol, max_iter=max_iter)
-
-    def to_dict(self):
-        return {"anchor": self.anchor.tolist(),
-                "generators": self.generators.tolist(),
-                "bound": self.bound}
+                        lambda v: np.clip(v, 0.0, self.bound)],
+                       max_iter=max_iter)
 
 
-def region_from_anchor(mdp, spec, anchor, tol=KKT_TOL):
+def region_from_anchor(mdp, spec, anchor):
     """Build the defender's region from a purported poisoned table.
 
     The anchor is validated by re-projection: projecting it onto the
@@ -178,7 +164,7 @@ def region_from_anchor(mdp, spec, anchor, tol=KKT_TOL):
     b = np.full(A.shape[0], spec.margin)
     anchor = np.asarray(anchor, dtype=float).ravel()
     reproj, _ = project_polyhedron(anchor, A, b)
-    if np.linalg.norm(reproj - anchor, ord=np.inf) > tol:
+    if np.linalg.norm(reproj - anchor, ord=np.inf) > KKT_TOL:
         raise AnchorInvalid(
             f"anchor moves by {np.linalg.norm(reproj - anchor):.3e} under "
             "re-projection; it does not satisfy the margin constraints")
@@ -214,7 +200,7 @@ def inner_min_over_region(mdp, region, mu_hat_flat):
     return sol.optimum, sol.x[:n]
 
 
-def maxmin_value(mdp, region, cross_check=True):
+def maxmin_value(mdp, region, cross_check):
     """Best worst-case average reward over the defender's region.
 
     Solved as one LP by dualizing the inner minimization; optionally
@@ -274,12 +260,10 @@ def _maxmin_extragradient(mdp, region):
     def project_occ(z):
         return dykstra(z, [lambda v: v - pinv_eq @ (A_eq_occ @ v - b_eq_occ),
                            lambda v: np.maximum(v, 0.0)],
-                       tol=1e-12, max_iter=500)
+                       max_iter=500)
 
     def project_region(z):
-        return dykstra(z, [region.project_cone_translate,
-                           lambda v: project_box(v, 0.0, region.bound)],
-                       tol=1e-12, max_iter=500)
+        return region.project(z, max_iter=500)
 
     def gap(x, y):
         best_response = float(np.max(occ @ project_region(y)))
@@ -326,23 +310,23 @@ def minimax_gap(mdp, region, cross_check=True):
             "mu_hat": mu_hat, "worst_reward": worst, "minmax_reward": reward}
 
 
-def nn_minimax_gap(mdp, arch, X, region, seed=0, floor=1e-9,
-                   cross_check=False):
+def nn_minimax_gap(mdp, arch, X, region, seed=0):
     """Value loss from restricting the max player to softmax networks.
 
-    Realizes the maxmin-optimal policy (floored away from zero so the
-    softmax can express it) and replays the inner minimization.
+    Realizes the maxmin-optimal policy (floored at REALIZE_FLOOR so the
+    softmax can express it) and replays the inner minimization.  The
+    maxmin LP runs without the extragradient cross-check.
     """
     from .mdp import policy_from_occupancy
     from .netpaths import canonical_layers, realize_policy
     from .network import forward
 
-    value, mu_hat, _ = maxmin_value(mdp, region, cross_check=cross_check)
+    value, mu_hat, _ = maxmin_value(mdp, region, cross_check=False)
     pi_star = policy_from_occupancy(np.maximum(mu_hat, 0.0).reshape(mdp.reward.shape))
-    blend = 2.0 * floor * mdp.n_actions
+    blend = 2.0 * REALIZE_FLOOR * mdp.n_actions
     pi_star = (1.0 - blend) * pi_star + blend / mdp.n_actions
     theta = realize_policy(arch, X, canonical_layers(arch, seed), pi_star,
-                           floor=floor)
+                           floor=REALIZE_FLOOR)
     pi_net = forward(arch, theta, X)
     net_value, _ = inner_min_over_region(mdp, region,
                                          occupancy(mdp, pi_net).ravel())

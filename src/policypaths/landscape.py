@@ -9,7 +9,6 @@ is not a maximizer.
 """
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,13 @@ import scipy.ndimage
 from .errors import OutOfDomain
 
 F_DOMAIN = ((-4.0, 4.0), (-2.0, 0.0))
+G_DOMAIN = ((-3.0, 3.0), (-3.0, 3.0))
 STATIONARY_TOL = 1e-8
+FD_STEP = 1e-5
+GRADIENT_POINTS = 1000
+GRADIENT_REL_TOL = 1e-5
+CURVATURE_TOL = 1e-6
+BOUNDARY_MARGIN = 1e-3
 NEWTON_SEEDS = 25
 NEWTON_DAMPING = 0.5
 NEWTON_MAX_ITER = 200
@@ -76,17 +81,11 @@ def _grad_f2(x, y):
 def eval_f(x, y):
     """Piecewise cubic on [-4, 4] x [-2, 0]; the two branches agree in
     value and derivative on the seam x = 0."""
-    if not (F_DOMAIN[0][0] <= x <= F_DOMAIN[0][1]
-            and F_DOMAIN[1][0] <= y <= F_DOMAIN[1][1]):
-        raise OutOfDomain(f"({x}, {y}) outside the domain of f")
-    return _f1(x, y) if x >= 0 else _f2(x, y)
+    return _FIELD_F(x, y)
 
 
 def grad_f(x, y):
-    if not (F_DOMAIN[0][0] <= x <= F_DOMAIN[0][1]
-            and F_DOMAIN[1][0] <= y <= F_DOMAIN[1][1]):
-        raise OutOfDomain(f"({x}, {y}) outside the domain of f")
-    return _grad_f1(x, y) if x >= 0 else _grad_f2(x, y)
+    return _FIELD_F.grad(x, y)
 
 
 def eval_g(x, y):
@@ -101,24 +100,32 @@ def grad_g(x, y):
 
 
 def field_f():
-    return ScalarField2D(evaluate=eval_f, gradient=grad_f, bounds=F_DOMAIN,
-                         name="f", branch_seams=(0.0,))
+    """The field f; ``check_domain`` is its only domain check."""
+    return ScalarField2D(
+        evaluate=lambda x, y: _f1(x, y) if x >= 0 else _f2(x, y),
+        gradient=lambda x, y: _grad_f1(x, y) if x >= 0 else _grad_f2(x, y),
+        bounds=F_DOMAIN, name="f", branch_seams=(0.0,))
 
 
-def field_g(bounds=((-3.0, 3.0), (-3.0, 3.0))):
-    return ScalarField2D(evaluate=eval_g, gradient=grad_g, bounds=bounds,
+_FIELD_F = field_f()
+
+
+def field_g():
+    return ScalarField2D(evaluate=eval_g, gradient=grad_g, bounds=G_DOMAIN,
                          name="g")
 
 
-def check_gradient(field, seed=0, n_points=1000, h=1e-5, rel_tol=1e-5):
-    """Compare the analytic gradient against central differences at random
-    interior points, skipping a 2h margin around domain edges and branch
-    seams.  Returns the worst relative error."""
+def check_gradient(field, seed=0):
+    """Compare the analytic gradient against central differences (step
+    FD_STEP) at GRADIENT_POINTS random interior points, skipping a
+    2 FD_STEP margin around domain edges and branch seams.  Returns the
+    worst relative error; raises past GRADIENT_REL_TOL."""
     rng = np.random.default_rng(seed)
     (x_lo, x_hi), (y_lo, y_hi) = field.bounds
+    h = FD_STEP
     worst = 0.0
     checked = 0
-    while checked < n_points:
+    while checked < GRADIENT_POINTS:
         x = rng.uniform(x_lo + 2 * h, x_hi - 2 * h)
         y = rng.uniform(y_lo + 2 * h, y_hi - 2 * h)
         if any(abs(x - seam) < 2 * h for seam in field.branch_seams):
@@ -130,17 +137,17 @@ def check_gradient(field, seed=0, n_points=1000, h=1e-5, rel_tol=1e-5):
         scale = max(1.0, np.hypot(gx, gy))
         err = max(abs(fd_x - gx), abs(fd_y - gy)) / scale
         worst = max(worst, err)
-    if worst > rel_tol:
+    if worst > GRADIENT_REL_TOL:
         raise AssertionError(
             f"gradient of {field.name or 'field'} disagrees with finite "
             f"differences: rel err {worst:.3e}")
     return worst
 
 
-def _hessian_fd(field, x, y, h=1e-5):
+def _hessian_fd(field, x, y):
     (x_lo, x_hi), (y_lo, y_hi) = field.bounds
-    xp, xm = min(x + h, x_hi), max(x - h, x_lo)
-    yp, ym = min(y + h, y_hi), max(y - h, y_lo)
+    xp, xm = min(x + FD_STEP, x_hi), max(x - FD_STEP, x_lo)
+    yp, ym = min(y + FD_STEP, y_hi), max(y - FD_STEP, y_lo)
     gxp = field.grad(xp, y)
     gxm = field.grad(xm, y)
     gyp = field.grad(x, yp)
@@ -152,25 +159,25 @@ def _hessian_fd(field, x, y, h=1e-5):
     return 0.5 * (H + H.T)
 
 
-def _classify(H, tol=1e-6):
+def _classify(H):
     eigs = np.linalg.eigvalsh(H)
-    if eigs[-1] < -tol:
+    if eigs[-1] < -CURVATURE_TOL:
         return "max"
-    if eigs[0] > tol:
+    if eigs[0] > CURVATURE_TOL:
         return "min"
-    if eigs[0] < -tol < tol < eigs[-1]:
+    if eigs[0] < -CURVATURE_TOL < CURVATURE_TOL < eigs[-1]:
         return "saddle"
     return "degenerate"
 
 
-def _newton_from(field, x, y, sub_bounds, tol, h=1e-5):
+def _newton_from(field, x, y, sub_bounds):
     (x_lo, x_hi), (y_lo, y_hi) = sub_bounds
     g = np.array(field.grad(x, y))
     for _ in range(NEWTON_MAX_ITER):
         norm = np.linalg.norm(g, ord=np.inf)
-        if norm <= tol:
+        if norm <= STATIONARY_TOL:
             return x, y
-        H = _hessian_fd(field, x, y, h)
+        H = _hessian_fd(field, x, y)
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -202,10 +209,10 @@ class StationaryPoint:
                 "class": self.classification, "grad_norm": self.grad_norm}
 
 
-def find_stationary_points(field, seed_grid=NEWTON_SEEDS, tol=STATIONARY_TOL,
-                           margin=1e-3):
-    """Damped Newton from a seed grid (run separately on each branch of a
-    piecewise field), deduplicated and Hessian-classified.
+def find_stationary_points(field):
+    """Damped Newton from a NEWTON_SEEDS x NEWTON_SEEDS seed grid (run
+    separately on each branch of a piecewise field), deduplicated and
+    Hessian-classified.
 
     Points that converge onto the domain or seam boundary are dropped:
     the census targets interior stationary points.
@@ -216,20 +223,22 @@ def find_stationary_points(field, seed_grid=NEWTON_SEEDS, tol=STATIONARY_TOL,
     found = []
     for lo, hi in zip(x_edges[:-1], x_edges[1:]):
         eps = 1e-9 * max(1.0, hi - lo)
-        xs = np.linspace(lo + eps, hi - eps, seed_grid)
-        ys = np.linspace(y_lo + eps, y_hi - eps, seed_grid)
+        xs = np.linspace(lo + eps, hi - eps, NEWTON_SEEDS)
+        ys = np.linspace(y_lo + eps, y_hi - eps, NEWTON_SEEDS)
         for x0 in xs:
             for y0 in ys:
-                res = _newton_from(field, x0, y0, ((lo, hi), (y_lo, y_hi)), tol)
+                res = _newton_from(field, x0, y0, ((lo, hi), (y_lo, y_hi)))
                 if res is None:
                     continue
                 x, y = res
-                if (x - lo < margin and lo != x_lo) \
-                        or (hi - x < margin and hi != x_hi):
+                if (x - lo < BOUNDARY_MARGIN and lo != x_lo) \
+                        or (hi - x < BOUNDARY_MARGIN and hi != x_hi):
                     # converged onto a seam; the mirrored branch owns it
-                    if np.linalg.norm(field.grad(x, y), ord=np.inf) > tol:
+                    if np.linalg.norm(field.grad(x, y),
+                                      ord=np.inf) > STATIONARY_TOL:
                         continue
-                if min(x - x_lo, x_hi - x, y - y_lo, y_hi - y) < margin:
+                if min(x - x_lo, x_hi - x, y - y_lo, y_hi - y) \
+                        < BOUNDARY_MARGIN:
                     continue
                 if any(np.hypot(x - p.x, y - p.y) < DEDUP_RADIUS
                        for p in found):
@@ -255,7 +264,7 @@ def field_grid(field, resolution):
     return xs, ys, values
 
 
-def superlevel_components(field, level, resolution=512):
+def superlevel_components(field, level, resolution):
     """Number of 4-connected components of {(x, y) : field >= level} on a
     regular grid, with the labeled mask.
 
@@ -285,7 +294,7 @@ def superlevel_components(field, level, resolution=512):
             "level": float(level), "resolution": resolution}
 
 
-def heatmap_csv(field, resolution=256):
+def heatmap_csv(field, resolution):
     """CSV grid of field values: first row x coordinates, first column y."""
     xs, ys, values = field_grid(field, resolution)
     buf = io.StringIO()
@@ -296,18 +305,16 @@ def heatmap_csv(field, resolution=256):
     return buf.getvalue()
 
 
-def census(levels_f=None, levels_g=None, resolution=512):
-    """Stationary points and component counts for both fields, JSON-ready."""
+def census(resolution):
+    """Stationary points and component counts for both fields, JSON-ready:
+    f at 0.1 below its highest stationary value, g at 3 and -10."""
     f = field_f()
     g = field_g()
     points_f = find_stationary_points(f)
     points_g = find_stationary_points(g)
-    max_f = max(p.value for p in points_f) if points_f else None
-    if levels_f is None:
-        levels_f = [max_f - 0.1] if max_f is not None else []
-    if levels_g is None:
-        levels_g = [3.0, -10.0]
-    report = {
+    levels_f = [max(p.value for p in points_f) - 0.1] if points_f else []
+    levels_g = [3.0, -10.0]
+    return {
         "f": {"stationary_points": [p.to_dict() for p in points_f],
               "components": {repr(float(lv)): superlevel_components(
                   f, lv, resolution)["components"] for lv in levels_f}},
@@ -315,8 +322,3 @@ def census(levels_f=None, levels_g=None, resolution=512):
               "components": {repr(float(lv)): superlevel_components(
                   g, lv, resolution)["components"] for lv in levels_g}},
     }
-    return report
-
-
-def census_to_json(report):
-    return json.dumps(report, indent=2, sort_keys=True)

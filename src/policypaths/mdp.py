@@ -104,16 +104,14 @@ class ErgodicityCertificate:
     checked_policies: int = 0
 
 
-def check_policy(pi, n_states=None, n_actions=None, tol=ROW_SUM_TOL):
-    """Validate a policy table and return it as a float array."""
+def check_policy(pi, n_states, n_actions):
+    """Validate a policy table pi[s, a] and return it as a float array."""
     pi = np.asarray(pi, dtype=float)
-    if pi.ndim != 2:
-        raise ValueError("policy must be a 2-D table pi[s, a]")
-    if n_states is not None and pi.shape != (n_states, n_actions):
+    if pi.shape != (n_states, n_actions):
         raise ValueError(f"policy shape {pi.shape} != ({n_states}, {n_actions})")
     if np.any(pi < 0):
         raise ValueError("policy entries must be nonnegative")
-    if np.max(np.abs(pi.sum(axis=1) - 1.0)) > tol:
+    if np.max(np.abs(pi.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
         raise ValueError("policy rows must sum to 1 within 1e-12")
     return pi
 
@@ -124,14 +122,13 @@ def transition_matrix(mdp, pi):
     return np.einsum("sap,sa->ps", mdp.kernel, pi)
 
 
-def stationary_distribution(P, tol=STATIONARY_TOL, max_iter=None):
+def stationary_distribution(P):
     """Stationary distribution of a column-stochastic matrix by GTH elimination.
 
-    One exact, subtraction-free elimination (``_gth``).  Raises
-    NonConvergence when the chain is not ergodic, judged from its graph
-    (reducible or periodic), and when the balance residual exceeds ``tol``.
-    ``max_iter`` is accepted for compatibility and unused: the solve is
-    direct, and ``iterations`` is always 1.
+    One exact, subtraction-free elimination (``_gth``), so ``iterations``
+    is always 1.  Raises NonConvergence when the chain is not ergodic,
+    judged from its graph (reducible or periodic), and when the balance
+    residual exceeds STATIONARY_TOL.
     """
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
@@ -144,8 +141,9 @@ def stationary_distribution(P, tol=STATIONARY_TOL, max_iter=None):
         raise NonConvergence("%s chain: %s" % mu)
     mu /= mu.sum()
     residual = float(np.abs(P @ mu - mu).max())
-    if not residual <= tol:
-        raise NonConvergence(f"balance residual {residual:.3e} exceeds tol={tol}")
+    if not residual <= STATIONARY_TOL:
+        raise NonConvergence(f"balance residual {residual:.3e} exceeds "
+                             f"tol={STATIONARY_TOL}")
     return StationaryDistribution(mu=mu, residual=residual, iterations=1)
 
 
@@ -188,11 +186,11 @@ def occupancy(mdp, pi):
     return mu[:, None] * np.asarray(pi, dtype=float)
 
 
-def policy_from_occupancy(mu_hat, tol=0.0):
+def policy_from_occupancy(mu_hat):
     """Recover the policy whose occupancy measure is ``mu_hat``."""
     mu_hat = np.asarray(mu_hat, dtype=float)
     marginals = mu_hat.sum(axis=1)
-    if np.any(marginals <= tol):
+    if np.any(marginals <= 0.0):
         raise ZeroStateMass(f"state marginals must be positive, got min {marginals.min():.3e}")
     return mu_hat / marginals[:, None]
 
@@ -247,7 +245,7 @@ def enumerate_deterministic_policies(mdp, cap=ENUMERATION_CAP):
             for assignment in _assignments(mdp, cap)]
 
 
-def check_ergodicity(mdp, cap=ENUMERATION_CAP):
+def check_ergodicity(mdp):
     """Certify that every deterministic policy induces an ergodic chain.
 
     Sufficient for all stochastic policies: the edge set of any policy's
@@ -259,7 +257,7 @@ def check_ergodicity(mdp, cap=ENUMERATION_CAP):
     """
     states = np.arange(mdp.n_states)
     checked = 0
-    for assignment in _assignments(mdp, cap):
+    for assignment in _assignments(mdp, ENUMERATION_CAP):
         checked += 1
         verdict = _gth(mdp.kernel[states, assignment].T)
         if isinstance(verdict, tuple):

@@ -28,12 +28,13 @@ from .network import (NetArchitecture, Theta, check_assumptions, forward,
 from .numerics import pinv, rank_with_tol
 from .tabular import interpolate_policies, uniform_grid
 
-PINV_TOL = 1e-10
 SEGMENT_TOL = 1e-7
+LEMMA_DRIFT_TOL = 1e-8
 ASSEMBLED_TOL = 1e-6
 MIN_SIGMA = 1e-9
 RANK_SIGMA_FRAC = 1e-6
 REWIRE_TRIES = 50
+ROTATION_LOG_TRIES = 8
 
 
 @dataclass
@@ -136,8 +137,8 @@ def _unstack(Wb):
     return Wb[:-1], Wb[-1]
 
 
-def _check_full_column_rank(W, name, tol=PINV_TOL):
-    if rank_with_tol(W, tol) < W.shape[1]:
+def _check_full_column_rank(W, name):
+    if rank_with_tol(W) < W.shape[1]:
         raise RankDeficient(f"{name} must have full column rank")
 
 
@@ -146,14 +147,14 @@ def _min_sigma(T):
     return float(s[-1]) if s.size else 0.0
 
 
-def _activation_full_rank(T, n_required, frac=RANK_SIGMA_FRAC):
+def _activation_full_rank(T, n_required):
     s = np.linalg.svd(T, compute_uv=False)
     if s.size < n_required or s[0] == 0.0:
         return False
-    return s[n_required - 1] >= frac * s[0]
+    return s[n_required - 1] >= RANK_SIGMA_FRAC * s[0]
 
 
-def h_map(M, layers, pi, slope, tol=PINV_TOL):
+def h_map(M, layers, pi, slope):
     """Reconstruct the layer feeding a fixed full-rank chain so the chain
     emits the policy ``pi`` on input table ``M``.
 
@@ -166,7 +167,7 @@ def h_map(M, layers, pi, slope, tol=PINV_TOL):
     if np.any(pi <= 0):
         raise NonPositivePolicy("target policy must be strictly positive")
     M1 = _augment(M)
-    if rank_with_tol(M1, tol) < M1.shape[0]:
+    if rank_with_tol(M1) < M1.shape[0]:
         raise RankDeficient("input table (with ones column appended) must have "
                             "full row rank")
     ones = np.ones((M.shape[0], 1))
@@ -174,41 +175,42 @@ def h_map(M, layers, pi, slope, tol=PINV_TOL):
     if layers:
         for idx, (W, b) in enumerate(reversed(layers)):
             _check_full_column_rank(np.asarray(W, dtype=float),
-                                    f"chain weight {len(layers) - idx}", tol)
-            B = (B - ones * np.asarray(b, dtype=float)[None, :]) @ pinv(W, tol)
+                                    f"chain weight {len(layers) - idx}")
+            B = (B - ones * np.asarray(b, dtype=float)[None, :]) @ pinv(W)
             if idx < len(layers) - 1:
                 B = sigma_inv(B, slope)
         pre = sigma_inv(B, slope)
     else:
         pre = B
-    Wb = pinv(M1, tol) @ pre
+    Wb = pinv(M1) @ pre
     return _unstack(Wb)
 
 
-def realize_policy(arch, X, layers, pi, floor=1e-12, tol=PINV_TOL):
+def realize_policy(arch, X, layers, pi, floor=1e-12):
     """Parameters whose network output equals ``pi`` exactly (up to
     pseudo-inverse conditioning).  ``layers`` are the fixed layers 2..L."""
     pi = np.asarray(pi, dtype=float)
     if np.any(pi < floor):
         raise PolicyFloorViolated(
             f"policy entries must be >= {floor}; softmax outputs cannot be 0")
-    W1, b1 = h_map(X, layers, pi, arch.leaky_slope, tol)
+    W1, b1 = h_map(X, layers, pi, arch.leaky_slope)
     theta = Theta(weights=[W1] + [np.asarray(W, dtype=float) for W, _ in layers],
                   biases=[b1] + [np.asarray(b, dtype=float) for _, b in layers])
     theta.check_shapes(arch)
     return theta
 
 
-def canonical_layers(arch, seed, scale=1.0):
-    """Random full-rank layers 2..L for use with realize_policy."""
+def canonical_layers(arch, seed):
+    """Random standard Gaussian full-rank layers 2..L for use with
+    realize_policy."""
     rng = np.random.default_rng(seed)
     layers = []
     for k in range(1, arch.depth):
         while True:
-            W = rng.normal(scale=scale, size=(arch.widths[k], arch.widths[k + 1]))
+            W = rng.normal(size=(arch.widths[k], arch.widths[k + 1]))
             if rank_with_tol(W) == W.shape[1]:
                 break
-        layers.append((W, rng.normal(scale=scale, size=arch.widths[k + 1])))
+        layers.append((W, rng.normal(size=arch.widths[k + 1])))
     return layers
 
 
@@ -217,7 +219,7 @@ def canonical_layers(arch, seed, scale=1.0):
 # the same network output, holding the output fixed the whole way.
 # ---------------------------------------------------------------------------
 
-def _first_layer_coordinates(X, theta, slope, tol=PINV_TOL):
+def _first_layer_coordinates(X, theta, slope):
     """Decompose a first layer into canonical pseudo-inverse parts plus
     null-space components, relative to the fixed layers 2..L."""
     M1 = _augment(X)
@@ -234,38 +236,38 @@ def _first_layer_coordinates(X, theta, slope, tol=PINV_TOL):
         return {"logits": logits,
                 "nulls": [],
                 "null0": _stack(theta.weights[0], theta.biases[0])
-                - pinv(M1, tol) @ logits}
+                - pinv(M1) @ logits}
     nulls = [None] * (depth - 1)
     upper = logits
     for l in range(depth - 2, -1, -1):
         W_next = theta.weights[l + 1]
         b_next = theta.biases[l + 1]
-        A = (upper - ones * b_next[None, :]) @ pinv(W_next, tol)
+        A = (upper - ones * b_next[None, :]) @ pinv(W_next)
         nulls[l] = hidden[l] - A
         upper = sigma_inv(hidden[l], slope)
     null0 = _stack(theta.weights[0], theta.biases[0]) \
-        - pinv(M1, tol) @ sigma_inv(hidden[0], slope)
+        - pinv(M1) @ sigma_inv(hidden[0], slope)
     return {"logits": logits, "nulls": nulls, "null0": null0}
 
 
-def _first_layer_from_coordinates(X, theta_fixed, coords, slope, tol=PINV_TOL):
+def _first_layer_from_coordinates(X, theta_fixed, coords, slope):
     """Inverse of _first_layer_coordinates for fixed layers 2..L."""
     M1 = _augment(X)
     ones = np.ones((X.shape[0], 1))
     depth = len(theta_fixed.weights)
     if depth == 1:
-        Wb = pinv(M1, tol) @ coords["logits"] + coords["null0"]
+        Wb = pinv(M1) @ coords["logits"] + coords["null0"]
         return _unstack(Wb)
     F = (coords["logits"] - ones * theta_fixed.biases[-1][None, :]) \
-        @ pinv(theta_fixed.weights[-1], tol) + coords["nulls"][depth - 2]
+        @ pinv(theta_fixed.weights[-1]) + coords["nulls"][depth - 2]
     for l in range(depth - 3, -1, -1):
         F = (sigma_inv(F, slope) - ones * theta_fixed.biases[l + 1][None, :]) \
-            @ pinv(theta_fixed.weights[l + 1], tol) + coords["nulls"][l]
-    Wb = pinv(M1, tol) @ sigma_inv(F, slope) + coords["null0"]
+            @ pinv(theta_fixed.weights[l + 1]) + coords["nulls"][l]
+    Wb = pinv(M1) @ sigma_inv(F, slope) + coords["null0"]
     return _unstack(Wb)
 
 
-def preimage_chain_path(arch, X, theta_a, theta_b, grid=None, tol=SEGMENT_TOL):
+def preimage_chain_path(arch, X, theta_a, theta_b, grid=None):
     """Output-constant path between two networks differing only in the
     first layer.  Layers 2..L must be identical, full column rank."""
     theta_a.check_shapes(arch)
@@ -306,7 +308,7 @@ def preimage_chain_path(arch, X, theta_a, theta_b, grid=None, tol=SEGMENT_TOL):
 
     drift = _Invariant("output_drift",
                        lambda p: np.max(np.abs(forward(arch, p, X) - pi_ref)),
-                       tol, OutputDrift, "preimage chain drift")
+                       SEGMENT_TOL, OutputDrift, "preimage chain drift")
     return _segment("preimage-chain", [stage], grid, drift,
                     metadata={"pi_ref": pi_ref})
 
@@ -368,8 +370,7 @@ def _rewire_stage(W1, b1, V, j, w_new, b_new):
     return stage, W_end, b_end
 
 
-def rank_restore_first_layer(X, W1, b1, V, slope, seed=0, grid=None,
-                             drift_tol=1e-8):
+def rank_restore_first_layer(X, W1, b1, V, slope, seed=0, grid=None):
     """Path ending with a full-row-rank first-layer activation table,
     keeping the product Z = sigma(X W1 + 1 b1^T) V constant throughout."""
     X = np.asarray(X, dtype=float)
@@ -398,7 +399,7 @@ def rank_restore_first_layer(X, W1, b1, V, slope, seed=0, grid=None,
         j, coeffs, others = dep
         stage_a, V = _transfer_stage((W1, b1), V, j, others, coeffs)
         stages.append(stage_a)
-        rank_before = rank_with_tol(T)
+        rank_before = rank_with_tol(T, RANK_SIGMA_FRAC)
         for _ in range(REWIRE_TRIES):
             w_new = rng.normal(size=W1.shape[0])
             b_new = float(rng.normal())
@@ -415,7 +416,7 @@ def rank_restore_first_layer(X, W1, b1, V, slope, seed=0, grid=None,
 
     drift = _Invariant("product_drift",
                        lambda p: np.max(np.abs(activation(*p[:2]) @ p[2] - Z0)),
-                       drift_tol, OutputDrift, "product drift")
+                       LEMMA_DRIFT_TOL, OutputDrift, "product drift")
     seg = _segment("rank-restore-F1", stages, grid, drift)
     T_end = activation(*seg.points[-1][:2])
     seg.metadata = {"terminal_min_sigma": _min_sigma(T_end),
@@ -434,8 +435,7 @@ def _pivot_columns(T, k):
     return sorted(int(p) for p in piv[:k])
 
 
-def first_layer_swap(X, W, V, W_target, slope=None, seed=0, grid=None,
-                     drift_tol=1e-8):
+def first_layer_swap(X, W, V, W_target, slope, seed=0, grid=None):
     """Path with W(1) = W_target and sigma(X W) V constant throughout.
 
     ``X`` is the (possibly ones-augmented) input table; bias handling is
@@ -463,7 +463,7 @@ def first_layer_swap(X, W, V, W_target, slope=None, seed=0, grid=None,
     Z0 = T @ V
     drift = _Invariant("product_drift",
                        lambda p: np.max(np.abs(activation(p[0]) @ p[1] - Z0)),
-                       drift_tol, OutputDrift, "swap product drift")
+                       LEMMA_DRIFT_TOL, OutputDrift, "swap product drift")
     if np.array_equal(W, W_target):
         return _segment("first-layer-swap", [lambda t: (W, V)], grid, drift)
     stages = []
@@ -556,8 +556,8 @@ def _orthogonal_completion(U):
     return np.hstack([U, comp])
 
 
-def _rotation_log(Q, rng, max_tries=8):
-    for _ in range(max_tries):
+def _rotation_log(Q, rng):
+    for _ in range(ROTATION_LOG_TRIES):
         L = scipy.linalg.logm(Q)
         L = np.real(L)
         L = 0.5 * (L - L.T)
@@ -591,33 +591,31 @@ def _stiefel_stages(U_from, U_to, rng):
         B[:, -1] = -B[:, -1]
     Q = B @ A.T
     first, second = _rotation_log(Q, rng)
-    stages = []
     if second is None:
-        def stage(t, L=first, U0=U_from, U1=U_to):
+        def stage(t):
             if t == 0.0:
-                return U0.copy()
+                return U_from.copy()
             if t == 1.0:
-                return U1.copy()
-            return scipy.linalg.expm(t * L) @ U0
-        stages.append(stage)
-    else:
-        mid = scipy.linalg.expm(first) @ U_from
+                return U_to.copy()
+            return scipy.linalg.expm(t * first) @ U_from
+        return [stage]
 
-        def stage_one(t, L=first, U0=U_from):
-            if t == 0.0:
-                return U0.copy()
-            return scipy.linalg.expm(t * L) @ U0
+    mid = scipy.linalg.expm(first) @ U_from
 
-        def stage_two(t, L=second, U0=mid, U1=U_to):
-            if t == 1.0:
-                return U1.copy()
-            return scipy.linalg.expm(t * L) @ U0
+    def stage_one(t):
+        if t == 0.0:
+            return U_from.copy()
+        return scipy.linalg.expm(t * first) @ U_from
 
-        stages.extend([stage_one, stage_two])
-    return stages
+    def stage_two(t):
+        if t == 1.0:
+            return U_to.copy()
+        return scipy.linalg.expm(t * second) @ mid
+
+    return [stage_one, stage_two]
 
 
-def fullrank_tall_path(F_a, F_b, grid=None, seed=0, min_sigma=MIN_SIGMA):
+def fullrank_tall_path(F_a, F_b, grid=None, seed=0):
     """Path of full-column-rank m x n matrices (m > n) between two such
     matrices, certified by the smallest singular value at every sample."""
     F_a = np.asarray(F_a, dtype=float)
@@ -626,7 +624,7 @@ def fullrank_tall_path(F_a, F_b, grid=None, seed=0, min_sigma=MIN_SIGMA):
     if F_b.shape != (m, n) or m <= n:
         raise ValueError("endpoints must share a tall m x n shape with m > n")
     for name, F in (("first", F_a), ("second", F_b)):
-        if _min_sigma(F) < min_sigma:
+        if _min_sigma(F) < MIN_SIGMA:
             raise RankDeficient(f"{name} endpoint is rank deficient")
     rng = np.random.default_rng(seed)
 
@@ -657,7 +655,7 @@ def fullrank_tall_path(F_a, F_b, grid=None, seed=0, min_sigma=MIN_SIGMA):
         stages.append(polar_line(F_b, U_b, reverse=True))
 
     sigmas = _Invariant("min_sigma", _min_sigma,
-                        min_sigma, PathStalled, "minimum singular value",
+                        MIN_SIGMA, PathStalled, "minimum singular value",
                         floor=True)
     return _segment("fullrank-tall", stages, grid, sigmas)
 
@@ -666,7 +664,7 @@ def fullrank_tall_path(F_a, F_b, grid=None, seed=0, min_sigma=MIN_SIGMA):
 # Full-column-rank repair of deep weights, output preserved.
 # ---------------------------------------------------------------------------
 
-def weight_fullrank_repair(arch, theta, X, seed=0, grid=None, drift_tol=1e-8):
+def weight_fullrank_repair(arch, theta, X, seed=0, grid=None):
     """Path ending with all W_l, l >= 2, full column rank while the
     pre-softmax output table stays constant.
 
@@ -727,7 +725,7 @@ def weight_fullrank_repair(arch, theta, X, seed=0, grid=None, drift_tol=1e-8):
     ref = pre_softmax(theta)
     drift = _Invariant("output_drift",
                        lambda p: np.max(np.abs(pre_softmax(p) - ref)),
-                       drift_tol, OutputDrift, "repair drift")
+                       LEMMA_DRIFT_TOL, OutputDrift, "repair drift")
     return _segment("weight-fullrank-repair", stages, grid, drift)
 
 
@@ -787,8 +785,7 @@ def _prepare_endpoint(arch, X, theta, seed, grid):
 
 
 def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
-                     seed=0, segment_tol=SEGMENT_TOL,
-                     assembled_tol=ASSEMBLED_TOL):
+                     seed=0, assembled_tol=ASSEMBLED_TOL):
     """Continuous parameter path from theta_1 to theta_2 along which the
     average reward never drops below the worse endpoint, simultaneously
     for every reward table supplied.
@@ -867,7 +864,7 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
 
     seg_chain_1 = _lift(
         preimage_chain_path(sub_arch, F1, sub_theta(theta_1s), theta_1h_sub,
-                            grid=grid, tol=segment_tol),
+                            grid=grid),
         embed_sub)
 
     legs = [(seg, pinned_1) for seg in prep_1 + [seg_swap, seg_chain_1]]
@@ -907,7 +904,7 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
 
     seg_chain_2 = _lift(
         preimage_chain_path(sub_arch, F1, theta_2h_sub, sub_theta(theta_2p),
-                            grid=grid, tol=segment_tol),
+                            grid=grid),
         embed_sub)
     side_2 = [seg_chain_2] + [_lift(s, reverse=True) for s in reversed(prep_2)]
     legs += [(seg, pinned_2) for seg in side_2]

@@ -6,7 +6,6 @@ which is strictly monotonic with range equal to the whole real line, so
 it has an exact elementwise inverse.  The final layer is a row softmax.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +83,6 @@ class Theta:
             data["widths"] = list(arch.widths)
             data["leaky_slope"] = arch.leaky_slope
         return data
-
-    def to_json(self, arch=None):
-        return json.dumps(self.to_dict(arch))
 
     @classmethod
     def from_dict(cls, data):
@@ -194,11 +190,10 @@ def value_of_theta(mdp, arch, theta, X, reward=None):
     return average_reward(mdp, forward(arch, theta, X), reward=reward)
 
 
-def random_theta(arch, seed, scale=1.0):
-    """Gaussian parameters; full rank with probability one."""
+def random_theta(arch, seed):
+    """Standard Gaussian parameters; full rank with probability one."""
     rng = np.random.default_rng(seed)
-    weights = [rng.normal(scale=scale, size=(arch.widths[k], arch.widths[k + 1]))
+    weights = [rng.normal(size=(arch.widths[k], arch.widths[k + 1]))
                for k in range(arch.depth)]
-    biases = [rng.normal(scale=scale, size=arch.widths[k + 1])
-              for k in range(arch.depth)]
+    biases = [rng.normal(size=arch.widths[k + 1]) for k in range(arch.depth)]
     return Theta(weights=weights, biases=biases)

@@ -13,13 +13,11 @@ import scipy.optimize
 
 from .errors import Infeasible, IterationCap, LpFailure, Unbounded
 
-
-def svd(M):
-    """Thin SVD (U, s, Vt) with singular values in descending order."""
-    return np.linalg.svd(np.asarray(M, dtype=float), full_matrices=False)
+PINV_TOL = 1e-10
+DYKSTRA_TOL = 1e-12
 
 
-def rank_with_tol(M, tol=1e-10):
+def rank_with_tol(M, tol=PINV_TOL):
     """Numerical rank: count of singular values above tol * sigma_max."""
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
@@ -27,9 +25,10 @@ def rank_with_tol(M, tol=1e-10):
     return int(np.sum(s > tol * s[0]))
 
 
-def pinv(M, tol=1e-10):
-    """Moore-Penrose pseudo-inverse, zeroing singular values below tol * sigma_max."""
-    return np.linalg.pinv(np.asarray(M, dtype=float), rcond=tol)
+def pinv(M):
+    """Moore-Penrose pseudo-inverse, zeroing singular values below
+    PINV_TOL * sigma_max."""
+    return np.linalg.pinv(np.asarray(M, dtype=float), rcond=PINV_TOL)
 
 
 def nnls(A, b):
@@ -126,33 +125,9 @@ def project_polyhedron(z, A, b):
     return z + y, lam
 
 
-def project_box(z, lo, hi):
-    return np.clip(z, lo, hi)
-
-
-def project_simplex(z):
-    """Euclidean projection onto the probability simplex."""
-    z = np.asarray(z, dtype=float)
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, z.size + 1)
-    cond = u - (css - 1.0) / ks > 0
-    k = ks[cond][-1]
-    tau = (css[k - 1] - 1.0) / k
-    return np.maximum(z - tau, 0.0)
-
-
-def project_affine(z, E, e):
-    """Euclidean projection onto {x : E x = e} (E may be rank deficient)."""
-    E = np.asarray(E, dtype=float)
-    e = np.asarray(e, dtype=float)
-    correction, *_ = np.linalg.lstsq(E, E @ z - e, rcond=None)
-    # lstsq returns the min-norm solution, which lies in the row space of E.
-    return z - correction
-
-
-def dykstra(z, projections, tol=1e-12, max_iter=5000):
-    """Dykstra's alternating projection onto an intersection of convex sets."""
+def dykstra(z, projections, max_iter=5000):
+    """Dykstra's alternating projection onto an intersection of convex sets,
+    stopped once an iterate moves by at most DYKSTRA_TOL."""
     x = np.asarray(z, dtype=float).copy()
     increments = [np.zeros_like(x) for _ in projections]
     for _ in range(max_iter):
@@ -161,7 +136,7 @@ def dykstra(z, projections, tol=1e-12, max_iter=5000):
             y = proj(x + increments[i])
             increments[i] = x + increments[i] - y
             x = y
-        if np.max(np.abs(x - x_prev)) <= tol:
+        if np.max(np.abs(x - x_prev)) <= DYKSTRA_TOL:
             return x
     return x
 
@@ -177,8 +152,7 @@ class SaddleResult:
 
 
 def extragradient_saddle(K, project_x, project_y, x0, y0, iters=10 ** 5,
-                         step=None, gap_oracle=None, gap_tol=0.0,
-                         check_every=200):
+                         gap_oracle=None, gap_tol=0.0, check_every=200):
     """Extragradient iteration for the bilinear saddle max_x min_y x.T K y.
 
     ``project_x`` / ``project_y`` are Euclidean projection oracles onto the
@@ -186,12 +160,11 @@ def extragradient_saddle(K, project_x, project_y, x0, y0, iters=10 ** 5,
     problems over polyhedra it converges linearly, unlike plain
     gradient-descent-ascent); ``residual`` is its movement under one more
     extragradient step, ``gap`` is filled from ``gap_oracle`` when
-    supplied, and iteration stops early once gap <= gap_tol.
+    supplied, and iteration stops early once gap <= gap_tol.  The step is
+    0.9 / ||K||_2.
     """
     K = np.asarray(K, dtype=float)
-    if step is None:
-        L = np.linalg.norm(K, 2)
-        step = 0.9 / max(L, 1e-12)
+    step = 0.9 / max(np.linalg.norm(K, 2), 1e-12)
     x = project_x(np.asarray(x0, dtype=float))
     y = project_y(np.asarray(y0, dtype=float))
     it = 0

@@ -9,7 +9,6 @@ once.
 """
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +33,6 @@ class PathTrace:
     points: list                    # one policy table per alpha
     values: np.ndarray              # (n_alphas, n_rewards)
     residuals: dict                 # name -> array of length n_alphas
-
-    def to_dict(self):
-        return {
-            "alphas": self.alphas.tolist(),
-            "points": [p.tolist() for p in self.points],
-            "values": self.values.tolist(),
-            "residuals": {k: v.tolist() for k, v in self.residuals.items()},
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
     def to_csv(self):
         """CSV with one row per alpha: alpha, per-reward values, residuals."""
@@ -108,17 +96,6 @@ def _evaluate(mdp, pi1, pi2, mu1, mu2, alphas, rewards):
     return points, np.asarray(values), np.asarray(stat_res), np.asarray(occ_res)
 
 
-def verify_stationary_linearity(mdp, pi1, pi2, grid=None):
-    """Residuals of mu_{pi_alpha} against the endpoint blend, per grid point."""
-    grid = uniform_grid() if grid is None else np.asarray(grid)
-    pi1 = check_policy(pi1, mdp.n_states, mdp.n_actions)
-    pi2 = check_policy(pi2, mdp.n_states, mdp.n_actions)
-    mu1, mu2 = _endpoint_stationaries(mdp, pi1, pi2)
-    _, _, residuals, _ = _evaluate(mdp, pi1, pi2, mu1, mu2, grid, [])
-    return {"grid": grid, "residuals": residuals,
-            "max_residual": float(residuals.max())}
-
-
 def verify_equiconnectedness(mdp, pi1, pi2, rewards, grid=None,
                              tol=VALUE_BOUND_TOL):
     """Certify the shared path against every reward in ``rewards``.
@@ -152,21 +129,16 @@ def verify_equiconnectedness(mdp, pi1, pi2, rewards, grid=None,
                                 "occupancy_linearity": occ_res})
 
 
-def select_preferred_on_path(mdp, pi1, pi2, preference, level, grid=None,
-                             reward=None, tol=VALUE_BOUND_TOL):
+def select_preferred_on_path(mdp, pi1, pi2, preference, level, grid=None):
     """Pick the preference-maximizing policy on the path, certified >= level.
 
     ``preference`` is a scalar functional over policy tables; ``level`` is
-    the value floor both endpoints are assumed to attain under ``reward``
-    (defaults to the MDP's reward table).
+    the value floor both endpoints are assumed to attain under the MDP's
+    reward table.
     """
-    if grid is None:
-        grid = uniform_grid()
-    if reward is None:
-        reward = mdp.reward
-    trace = verify_equiconnectedness(mdp, pi1, pi2, [reward], grid=grid, tol=tol)
+    trace = verify_equiconnectedness(mdp, pi1, pi2, [mdp.reward], grid=grid)
     for j, value in enumerate(trace.values[:, 0]):
-        if value < level - tol:
+        if value < level - VALUE_BOUND_TOL:
             raise BoundViolated(
                 f"path value {value:.12g} at alpha = {trace.alphas[j]:.6g} "
                 f"undercuts the requested level {level:.12g}",

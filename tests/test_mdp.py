@@ -70,7 +70,7 @@ def test_stationary_hand_solved_two_state():
 def test_stationary_periodic_chain_raises():
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NonConvergence):
-        stationary_distribution(P, max_iter=2000)
+        stationary_distribution(P)
 
 
 def test_stationary_two_closed_classes_raises():

@@ -208,6 +208,22 @@ def test_rank_restore_random_degenerate():
     assert seg.metadata["rounds"] <= 6
 
 
+def test_rank_restore_near_duplicate_neuron():
+    # Rows 0 and 1 of W differ by 1e-8, so the activation table's third
+    # singular ratio (about 5e-10) lies between the 1e-10 cut of
+    # rank_with_tol and RANK_SIGMA_FRAC = 1e-6.  The rewiring must compare
+    # ranks at one tolerance, or no try can raise the rank.
+    rng = np.random.default_rng(0)
+    W = rng.normal(size=(3, 6))
+    noise = rng.normal(size=6)
+    W[1] = W[0] + 1e-8 * noise
+    b = np.abs(noise) + 5.0             # every preactivation positive
+    V = rng.normal(size=(6, 2))
+    seg = rank_restore_first_layer(np.eye(3), W, b, V, SLOPE)
+    assert seg.metadata["terminal_rank"] == 3
+    assert seg.max_residual("product_drift") <= 1e-8
+
+
 def augmented(X):
     return np.hstack([X, np.ones((X.shape[0], 1))])
 

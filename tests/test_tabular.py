@@ -8,8 +8,7 @@ from policypaths.mdp import (Mdp, average_reward, check_ergodicity, occupancy,
                              random_ergodic_mdp, stationary_distribution,
                              transition_matrix)
 from policypaths.tabular import (interpolate_policies, select_preferred_on_path,
-                                 uniform_grid, verify_equiconnectedness,
-                                 verify_stationary_linearity)
+                                 uniform_grid, verify_equiconnectedness)
 from ring_kernels import ring_mdp
 
 
@@ -62,17 +61,18 @@ def test_interpolate_rejects_out_of_range_alpha():
 def test_stationary_linearity_random_instance():
     mdp = random_ergodic_mdp(5, 3, 2)
     rng = np.random.default_rng(5)
-    report = verify_stationary_linearity(mdp, random_policy(rng, 3, 2),
-                                         random_policy(rng, 3, 2))
-    assert report["max_residual"] <= 1e-8
+    trace = verify_equiconnectedness(mdp, random_policy(rng, 3, 2),
+                                     random_policy(rng, 3, 2), [],
+                                     grid=uniform_grid())
+    assert trace.max_residual("stationary_linearity") <= 1e-8
 
 
 def test_stationary_linearity_identical_endpoints():
     mdp = random_ergodic_mdp(7, 2, 2)
     rng = np.random.default_rng(7)
     pi = random_policy(rng, 2, 2)
-    report = verify_stationary_linearity(mdp, pi, pi, grid=uniform_grid(11))
-    assert report["max_residual"] <= 1e-11
+    trace = verify_equiconnectedness(mdp, pi, pi, [], grid=uniform_grid(11))
+    assert trace.max_residual("stationary_linearity") <= 1e-11
 
 
 def test_equiconnectedness_constant_reward():
