@@ -10,8 +10,7 @@ from .landscape import (ScalarField2D, census, eval_f, eval_g, field_f,
                         superlevel_components)
 from .mdp import (ErgodicityCertificate, Mdp, StationaryDistribution,
                   average_reward, check_ergodicity, check_policy,
-                  deterministic_policy, discounted_to_average,
-                  enumerate_deterministic_policies, occupancy,
+                  deterministic_policy, discounted_to_average, occupancy,
                   policy_from_occupancy, random_ergodic_mdp,
                   stationary_distribution, transition_matrix)
 from .netpaths import (PathSegment, SegmentedPath, assemble_nn_path,

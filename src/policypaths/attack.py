@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnchorInvalid, CrossCheckMismatch, Infeasible
-from .mdp import (check_policy, deterministic_policy,
-                  enumerate_deterministic_policies, occupancy)
+from .mdp import (STATIONARY_TOL, _deterministic_chains, _gth, check_policy,
+                  occupancy, stationary_distribution)
 from .numerics import (LpProblem, extragradient_saddle, lp_solve, nnls,
                        project_polyhedron)
 
@@ -44,9 +44,27 @@ def _as_assignment(mdp, target):
 
 def det_occupancies(mdp):
     """Flattened occupancy measures of all deterministic policies, in
-    lexicographic assignment order."""
-    return np.stack([occupancy(mdp, pi).ravel()
-                     for pi in enumerate_deterministic_policies(mdp)])
+    lexicographic assignment order.
+
+    The chains are solved in stacks by the elimination behind
+    ``stationary_distribution``, with its bits, its normalisation and its
+    residual check; the first policy that fails raises what
+    ``stationary_distribution`` raises on that policy's chain.
+    """
+    S, A = mdp.n_states, mdp.n_actions
+    blocks = []
+    for assignments, P in _deterministic_chains(mdp):
+        mu, failures = _gth(P)
+        mu /= mu.sum(axis=1, keepdims=True)
+        residual = np.abs((P @ mu[:, :, None])[:, :, 0] - mu).max(axis=1)
+        suspects = set(failures).union(
+            np.flatnonzero(~(residual <= STATIONARY_TOL)).tolist())
+        for i in sorted(suspects):  # raises unless the one-chain residual passes
+            stationary_distribution(P[i])
+        occ = np.zeros((len(mu), S * A))
+        occ[np.arange(len(mu))[:, None], np.arange(S) * A + assignments] = mu
+        blocks.append(occ)
+    return np.concatenate(blocks)
 
 
 @dataclass

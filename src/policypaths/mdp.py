@@ -4,14 +4,15 @@ Conventions: the transition kernel is indexed ``kernel[s, a, s']``; the
 induced state transition matrix is column-stochastic with entry ``(s', s)``
 so that the stationary distribution satisfies ``mu = P @ mu``.  Every
 stationary distribution, and so every occupancy measure and average reward,
-comes from one exact GTH elimination per chain, which also decides
-ergodicity from the chain's graph.  ``check_ergodicity`` takes its verdict
-for every deterministic policy from that same elimination.
+comes from one exact GTH elimination, ``_gth``, which also decides
+ergodicity from the chain's graph.  It solves one chain or a stack of
+chains with the same operations, so the enumerations over all |A|^|S|
+deterministic policies (``check_ergodicity`` here, ``det_occupancies`` in
+``attack``) solve their chains in stacks of at most CHAIN_BLOCK, with the
+bits and verdicts of one call per chain.
 """
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import CapExceeded, NonConvergence, ZeroStateMass
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 ENUMERATION_CAP = 10 ** 5
+CHAIN_BLOCK = 4096            # chains per stacked elimination; bounds memory
 DEFAULT_REWARD_BOUND = 1.0
 
 
@@ -136,9 +138,9 @@ def stationary_distribution(P):
         raise ValueError("P must be square")
     if not (P.min() >= 0.0 and np.abs(P.sum(axis=0) - 1.0).max() <= 1e-10):
         raise ValueError("P must be column-stochastic")
-    mu = _gth(P)
-    if isinstance(mu, tuple):
-        raise NonConvergence("%s chain: %s" % mu)
+    mu, failures = _gth(P)
+    if failures:
+        raise NonConvergence("%s chain: %s" % failures[0])
     mu /= mu.sum()
     residual = float(np.abs(P @ mu - mu).max())
     if not residual <= STATIONARY_TOL:
@@ -148,35 +150,66 @@ def stationary_distribution(P):
 
 
 def _gth(P):
-    """Unnormalised stationary vector of a column-stochastic P, or the
-    verdict ``(reason, detail)`` with reason "reducible" or "periodic".
+    """Unnormalised stationary vectors of a column-stochastic matrix, or of
+    a stack of them with shape ``(..., n, n)``, and the chains that are not
+    ergodic.
+
+    Returns ``(mu, failures)``: ``mu`` has shape ``(..., n)``, and
+    ``failures`` maps the flat index of each chain that is not ergodic (0
+    for a single matrix) to its verdict ``(reason, detail)``, with reason
+    "reducible" or "periodic".  The ``mu`` of such a chain is meaningless.
 
     One Grassmann-Taksar-Heyman elimination (Oper. Res. 1985) on the
-    row-stochastic transpose, followed by back-substitution.  The elimination
-    never subtracts, so it stays accurate on slow-mixing and nearly
-    decomposable chains, and the zero pattern of every pivot and mass is
-    exact.  A zero pivot means some state cannot reach state 0, and a zero
-    mass means state 0 cannot reach some state: together they decide
-    irreducibility.  A self-loop proves an irreducible chain aperiodic;
-    without one, ``_period`` decides.
+    row-stochastic transposes, followed by back-substitution, with the same
+    operations on every chain of the stack.  The elimination never
+    subtracts, so it stays accurate on slow-mixing and nearly decomposable
+    chains, and the zero pattern of every pivot and mass is exact.  A zero
+    pivot means some state cannot reach state 0, and a zero mass means
+    state 0 cannot reach some state: together they decide irreducibility.
+    A self-loop proves an irreducible chain aperiodic; without one,
+    ``_period`` decides.
     """
-    n = P.shape[0]
-    A = P.T.copy()  # row-stochastic: A[s, s'] = P(s' | s)
+    A = P.swapaxes(-1, -2).copy()  # row-stochastic: A[..., s, s'] = P(s' | s)
+    n = A.shape[-1]
+    cut = None  # per chain, the first state found unable to reach state 0
     for k in range(n - 1, 0, -1):
-        pivot = A[k, :k].sum()
-        if pivot <= 0.0:
-            return "reducible", f"state {k} cannot reach state 0"
-        A[:k, k] /= pivot
-        A[:k, :k] += np.multiply.outer(A[:k, k], A[k, :k])
-    mu = np.empty(n)
-    mu[0] = 1.0
+        row, col = A[..., k, :k], A[..., :k, k]
+        pivot = np.add.reduce(row, axis=-1, keepdims=True)
+        if np.count_nonzero(pivot) < pivot.size:  # pivots are never negative
+            zero = pivot[..., 0] <= 0.0
+            if cut is None:
+                cut = np.zeros(zero.shape, dtype=int)
+            cut[zero & (cut == 0)] = k
+            pivot[zero] = 1.0  # the row is zero, so the update adds nothing
+        col /= pivot
+        A[..., :k, :k] += col[..., None] * row[..., None, :]
+    mu = np.empty(A.shape[:-1])
+    mu[..., 0] = 1.0
     for k in range(1, n):
-        mu[k] = mu[:k] @ A[:k, k]
-    if mu.min() <= 0.0:
-        return "reducible", f"state 0 cannot reach state {int(np.argmin(mu > 0.0))}"
-    if P.trace() <= 0.0 and _period(P) != 1:
-        return "periodic", "the stationary distribution is not a limit"
-    return mu
+        np.matmul(mu[..., None, :k], A[..., :k, k, None],
+                  out=mu[..., None, k:k + 1])
+    loops = P.trace(axis1=-2, axis2=-1)
+    # masses and traces are never negative either: nonzero means positive
+    if cut is None and np.count_nonzero(mu) == mu.size \
+            and np.count_nonzero(loops) == loops.size:
+        return mu, {}
+    failures = {}
+    if cut is not None:
+        for i in np.flatnonzero(cut):
+            failures[int(i)] = ("reducible",
+                                f"state {cut.flat[i]} cannot reach state 0")
+    mu_flat = mu.reshape(-1, n)
+    for i in np.flatnonzero(mu_flat.min(axis=1) <= 0.0):
+        failures.setdefault(int(i), (
+            "reducible",
+            f"state 0 cannot reach state {int(np.argmin(mu_flat[i] > 0.0))}"))
+    loopless = [int(i) for i in np.flatnonzero(np.ravel(loops) <= 0.0)
+                if int(i) not in failures]
+    for i, period in zip(loopless, _period(P.reshape(-1, n, n)[loopless])):
+        if period != 1:
+            failures[i] = ("periodic",
+                           "the stationary distribution is not a limit")
+    return mu, failures
 
 
 def occupancy(mdp, pi):
@@ -203,23 +236,19 @@ def average_reward(mdp, pi, reward=None):
 
 
 def _period(P):
-    """Period of an irreducible chain via BFS level differences."""
-    n = P.shape[0]
-    adj = [np.nonzero(P[:, s] > 0)[0] for s in range(n)]
-    dist = np.full(n, -1, dtype=int)
-    dist[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    g = 0
-    for u in range(n):
-        for v in adj[u]:
-            g = math.gcd(g, dist[u] + 1 - dist[v])
-    return abs(g)
+    """Periods of irreducible chains, one per matrix of an ``(m, n, n)``
+    stack: the gcd, over the edges u -> v, of level(u) + 1 - level(v), where
+    a state's level is its BFS distance from state 0."""
+    m, n, _ = P.shape
+    edge = P.swapaxes(1, 2) > 0.0  # edge[i, u, v]: u -> v
+    level = np.full((m, n), -1)
+    level[:, 0] = 0
+    frontier = level == 0
+    for depth in range(1, n):
+        frontier = (frontier[:, None, :] @ edge)[:, 0] & (level < 0)
+        level[frontier] = depth
+    shift = np.abs(level[:, :, None] + 1 - level[:, None, :])
+    return np.gcd.reduce(np.where(edge, shift, 0).reshape(m, n * n), axis=1)
 
 
 def deterministic_policy(assignment, n_actions):
@@ -230,19 +259,22 @@ def deterministic_policy(assignment, n_actions):
     return pi
 
 
-def _assignments(mdp, cap):
-    """Action assignments of all |A|^|S| deterministic policies, in
-    lexicographic order; raises CapExceeded above ``cap``."""
+def _deterministic_chains(mdp):
+    """The chains of all |A|^|S| deterministic policies, in lexicographic
+    assignment order, as blocks ``(assignments, P)`` of at most CHAIN_BLOCK
+    policies: ``assignments`` has one row of actions per policy and ``P``
+    the stacked column-stochastic matrices.  Raises CapExceeded above
+    ENUMERATION_CAP before anything is allocated."""
     count = mdp.n_actions ** mdp.n_states
-    if count > cap:
-        raise CapExceeded(f"{count} deterministic policies exceed the cap {cap}")
-    return itertools.product(range(mdp.n_actions), repeat=mdp.n_states)
-
-
-def enumerate_deterministic_policies(mdp, cap=ENUMERATION_CAP):
-    """All |A|^|S| point-mass policies in lexicographic assignment order."""
-    return [deterministic_policy(assignment, mdp.n_actions)
-            for assignment in _assignments(mdp, cap)]
+    if count > ENUMERATION_CAP:
+        raise CapExceeded(f"{count} deterministic policies exceed the cap "
+                          f"{ENUMERATION_CAP}")
+    places = mdp.n_actions ** np.arange(mdp.n_states - 1, -1, -1)
+    states = np.arange(mdp.n_states)
+    for start in range(0, count, CHAIN_BLOCK):
+        index = np.arange(start, min(start + CHAIN_BLOCK, count))
+        assignments = index[:, None] // places % mdp.n_actions
+        yield assignments, mdp.kernel[states, assignments].swapaxes(1, 2)
 
 
 def check_ergodicity(mdp):
@@ -255,15 +287,15 @@ def check_ergodicity(mdp):
     solver rejects as reducible or periodic.  The first failing assignment
     in lexicographic order is the witness.
     """
-    states = np.arange(mdp.n_states)
     checked = 0
-    for assignment in _assignments(mdp, ENUMERATION_CAP):
-        checked += 1
-        verdict = _gth(mdp.kernel[states, assignment].T)
-        if isinstance(verdict, tuple):
+    for assignments, P in _deterministic_chains(mdp):
+        _, failures = _gth(P)
+        if failures:
+            first = min(failures)
             return ErgodicityCertificate(
-                ergodic=False, witness=assignment, reason=verdict[0],
-                checked_policies=checked)
+                ergodic=False, witness=tuple(assignments[first].tolist()),
+                reason=failures[first][0], checked_policies=checked + first + 1)
+        checked += len(assignments)
     return ErgodicityCertificate(ergodic=True, checked_policies=checked)
 
 

@@ -916,10 +916,11 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
     floor = None
     margins = None
     if rewards:
+        R = np.reshape(rewards, (len(rewards), pi_1.size))
         mu_hat1 = mu1[:, None] * pi_1
         mu_hat2 = mu2[:, None] * pi_2
-        ends = np.array([[float(np.sum(r * mu_hat1)) for r in rewards],
-                         [float(np.sum(r * mu_hat2)) for r in rewards]])
+        ends = np.array([(R * mu_hat1.ravel()).sum(axis=1),
+                         (R * mu_hat2.ravel()).sum(axis=1)])
         floor = ends.min(axis=0)
         margins = np.full(len(rewards), np.inf)
     drift_max = 0.0
@@ -932,9 +933,8 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
             seg.residuals[drift.name] = residual
             drift_max = max(drift_max, float(residual.max()))
         if rewards:
-            mu_hats = [occupancy(mdp, out) for out in outputs]
-            values = np.array([[float(np.sum(r * mu_hat)) for r in rewards]
-                               for mu_hat in mu_hats])
+            values = np.array([(R * occupancy(mdp, out).ravel()).sum(axis=1)
+                               for out in outputs])
             seg.residuals["values"] = values
             margins = np.minimum(margins, values.min(axis=0) - floor)
     if rewards:

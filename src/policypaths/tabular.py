@@ -83,13 +83,14 @@ def _evaluate(mdp, pi1, pi2, mu1, mu2, alphas, rewards):
     """Policy, reward values and both linearity residuals at each alpha."""
     mu_hat1 = mu1[:, None] * pi1
     mu_hat2 = mu2[:, None] * pi2
+    R = np.reshape(rewards, (len(rewards), mu_hat1.size))
     points, values, stat_res, occ_res = [], [], [], []
     for alpha in alphas:
         pi_a = interpolate_policies(mdp, pi1, pi2, alpha, mu1=mu1, mu2=mu2)
         mu_hat_a = occupancy(mdp, pi_a)
         mu_a = mu_hat_a.sum(axis=1)
         points.append(pi_a)
-        values.append([float(np.sum(r * mu_hat_a)) for r in rewards])
+        values.append((R * mu_hat_a.ravel()).sum(axis=1))
         stat_res.append(np.max(np.abs(mu_a - (alpha * mu1 + (1 - alpha) * mu2))))
         occ_res.append(np.max(np.abs(
             mu_hat_a - (alpha * mu_hat1 + (1 - alpha) * mu_hat2))))

@@ -8,10 +8,11 @@ from policypaths.attack import (AttackSpec, RewardRegion, attack,
                                 det_occupancies, inner_min_over_region,
                                 maxmin_value, minimax_gap, minmax_value,
                                 nn_minimax_gap, region_from_anchor)
-from policypaths.errors import AnchorInvalid
+from enumeration import enumerate_deterministic_policies
+from policypaths.errors import AnchorInvalid, NonConvergence
 from policypaths.mdp import (Mdp, average_reward, deterministic_policy,
-                             enumerate_deterministic_policies,
-                             policy_from_occupancy, random_ergodic_mdp)
+                             occupancy, policy_from_occupancy,
+                             random_ergodic_mdp)
 from policypaths.network import NetArchitecture, one_hot_features
 
 
@@ -49,6 +50,62 @@ def test_attack_margins_on_random_instance():
             continue
         j = average_reward(mdp, pi, reward=result.poisoned)
         assert j_target - j >= 0.1 - 1e-8
+
+
+def _one_policy_at_a_time(mdp):
+    """det_occupancies as it was built: one occupancy solve per policy."""
+    return np.stack([occupancy(mdp, pi).ravel()
+                     for pi in enumerate_deterministic_policies(mdp)])
+
+
+def _sparse_mdp(rng, n_states, n_actions):
+    kernel = np.zeros((n_states, n_actions, n_states))
+    for s in range(n_states):
+        for a in range(n_actions):
+            size = min(n_states, int(rng.integers(1, 3)))
+            support = rng.choice(n_states, size=size, replace=False)
+            kernel[s, a, support] = rng.dirichlet(np.ones(len(support)))
+    return Mdp(kernel=kernel, reward=np.zeros((n_states, n_actions)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_det_occupancies_matches_one_policy_at_a_time():
+    # dense and sparse kernels, |S| 1-5 and |A| 1-3: the same bits, or the
+    # same NonConvergence message from the first policy that fails
+    rng = np.random.default_rng(73)
+    raised = 0
+    for n_states in range(1, 6):
+        for n_actions in range(1, 4):
+            for mdp in (random_ergodic_mdp(int(rng.integers(1000)), n_states,
+                                           n_actions),
+                        _sparse_mdp(rng, n_states, n_actions)):
+                try:
+                    expected = _one_policy_at_a_time(mdp)
+                except NonConvergence as exc:
+                    raised += 1
+                    with pytest.raises(NonConvergence) as got:
+                        det_occupancies(mdp)
+                    assert str(got.value) == str(exc)
+                    continue
+                occ = det_occupancies(mdp)
+                assert occ.shape == expected.shape
+                assert np.array_equal(occ, expected)
+    assert 5 <= raised <= 25
+
+
+@pytest.mark.parametrize("kernel_rows, message", [
+    # policy (0, 1) leaves state 1 absorbing: a zero pivot
+    ([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]],
+     "reducible chain: state 1 cannot reach state 0"),
+    # policy (1, 0) leaves state 0 absorbing: a zero mass
+    ([[[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [0.5, 0.5]]],
+     "reducible chain: state 0 cannot reach state 1"),
+])
+def test_det_occupancies_reducible_policy_message(kernel_rows, message):
+    mdp = Mdp(kernel=np.array(kernel_rows), reward=np.zeros((2, 2)))
+    with pytest.raises(NonConvergence) as got:
+        det_occupancies(mdp)
+    assert str(got.value) == message
 
 
 def test_attack_idempotent():

@@ -62,8 +62,8 @@ def test_g_rotational_invariance():
 
 
 def test_gradients_match_finite_differences():
-    assert check_gradient(field_f(), seed=0) <= 1e-5
-    assert check_gradient(field_g(), seed=0) <= 1e-5
+    assert check_gradient(field_f()) <= 1e-5
+    assert check_gradient(field_g()) <= 1e-5
 
 
 def test_f_stationary_points():

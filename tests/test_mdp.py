@@ -3,19 +3,21 @@ occupancy measures, values, ergodicity, generators."""
 
 import collections
 import itertools
-import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import null_space
 from scipy.sparse.csgraph import connected_components
 
+from enumeration import enumerate_deterministic_policies
+from policypaths.attack import det_occupancies
 from policypaths.errors import CapExceeded, NonConvergence, ZeroStateMass
-from policypaths.mdp import (ErgodicityCertificate, Mdp, average_reward,
+from policypaths.mdp import (CHAIN_BLOCK, ErgodicityCertificate, Mdp,
+                             _deterministic_chains, _gth, average_reward,
                              check_ergodicity, deterministic_policy,
-                             discounted_to_average,
-                             enumerate_deterministic_policies, occupancy,
+                             discounted_to_average, occupancy,
                              policy_from_occupancy, random_ergodic_mdp,
                              stationary_distribution, transition_matrix)
 from ring_kernels import lazy_ring, ring_kernel
@@ -357,25 +359,93 @@ def test_check_ergodicity_matches_enumeration_oracle(self_loops):
 
 
 def test_enumeration_counts_and_order():
-    mdp22 = random_ergodic_mdp(37, 2, 2)
-    pis = enumerate_deterministic_policies(mdp22)
-    assert len(pis) == 4
-    mdp33 = random_ergodic_mdp(37, 3, 3)
-    assert len(enumerate_deterministic_policies(mdp33)) == 27
-    # lexicographic ordering is stable: serialize and compare to a golden
-    # rendering of the assignment sequence
-    assignments = [tuple(np.argmax(pi, axis=1)) for pi in pis]
-    assert assignments == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    blob = json.dumps([pi.tolist() for pi in pis])
-    blob2 = json.dumps([pi.tolist()
-                        for pi in enumerate_deterministic_policies(mdp22)])
-    assert blob == blob2
+    # lexicographic assignment order, also across the blocks of 3^8 = 6561
+    # chains; each stacked matrix is the policy's transition matrix
+    for seed, n_states, n_actions in [(37, 2, 2), (37, 3, 3), (38, 8, 3)]:
+        mdp = random_ergodic_mdp(seed, n_states, n_actions)
+        blocks = list(_deterministic_chains(mdp))
+        assert max(len(a) for a, _ in blocks) <= CHAIN_BLOCK
+        assignments = np.concatenate([a for a, _ in blocks])
+        assert assignments.tolist() == [list(a) for a in itertools.product(
+            range(n_actions), repeat=n_states)]
+        chains = np.concatenate([P for _, P in blocks])
+        for pi, P in zip(enumerate_deterministic_policies(mdp), chains):
+            assert np.array_equal(P, transition_matrix(mdp, pi))
+    assert assignments.shape == (3 ** 8, 8) and len(blocks) == 2
+    first = next(_deterministic_chains(random_ergodic_mdp(37, 2, 2)))[0]
+    assert first.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_enumeration_cap():
-    mdp = random_ergodic_mdp(41, 3, 3)
-    with pytest.raises(CapExceeded):
-        enumerate_deterministic_policies(mdp, cap=10)
+    # 2^17 policies exceed the cap: both enumerations refuse before they
+    # allocate a stack (one block would take 4096 * 17 * 17 * 8 = 9.5 MB)
+    mdp = random_ergodic_mdp(41, 17, 2)
+    for enumeration in (check_ergodicity, det_occupancies):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="131072 deterministic"):
+                enumeration(mdp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+
+
+def _mixed_stack(rng, n):
+    """Column-stochastic n x n chains of every kind _gth tells apart:
+    ergodic, reducible by a zero pivot, reducible by a zero mass, periodic
+    and nearly decomposable."""
+    chains = [rng.dirichlet(np.ones(n), size=n).T for _ in range(3)]
+    if n >= 2:
+        trapped = rng.dirichlet(np.ones(n), size=n).T
+        trapped[:, n - 1] = np.eye(n)[n - 1]     # state n-1 is absorbing
+        chains.append(trapped)                  # zero pivot
+        source = rng.dirichlet(np.ones(n), size=n).T
+        source[:, 0] = np.eye(n)[0]              # state 0 is absorbing
+        chains.append(source)                   # zero mass
+        chains.append(np.roll(np.eye(n), 1, axis=0))   # the n-cycle
+        ring = np.roll(np.eye(n), 1, axis=0)
+        ring[:, 0] = 0.0
+        ring[[0, 1], 0] = 0.5                   # a 1-cycle joins the n-cycle
+        chains.append(ring)
+    if n >= 4:
+        half = n // 2
+        blocks = np.zeros((n, n))
+        blocks[:half, :half] = rng.dirichlet(np.ones(half), size=half).T
+        blocks[half:, half:] = rng.dirichlet(np.ones(n - half),
+                                             size=n - half).T
+        blocks[:, 0] = (1 - 1e-12) * blocks[:, 0] + 1e-12 * np.eye(n)[n - 1]
+        blocks[:, n - 1] = (1 - 1e-12) * blocks[:, n - 1] + 1e-12 * np.eye(n)[0]
+        chains.append(blocks)                   # nearly decomposable
+        bipartite = np.zeros((n, n))
+        bipartite[half:, :half] = rng.dirichlet(np.ones(n - half), size=half).T
+        bipartite[:half, half:] = rng.dirichlet(np.ones(half), size=n - half).T
+        chains.append(bipartite)                # period 2
+    return np.array(chains)
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_gth_matches_one_chain_calls():
+    rng = np.random.default_rng(71)
+    reasons = collections.Counter()
+    for n in [1, 2, 3, 4, 5, 6, 12, 30]:
+        stack = _mixed_stack(rng, n)
+        stack = stack[rng.permutation(len(stack))]
+        mu, failures = _gth(stack)
+        assert mu.shape == (len(stack), n)
+        for i, P in enumerate(stack):
+            one_mu, one_failures = _gth(P)
+            assert np.array_equal(mu[i], one_mu)
+            assert failures.get(i) == one_failures.get(0)
+            reasons[failures[i] if i in failures else None] += 1
+        # a stack with extra leading axes flattens them in C order
+        mu2, failures2 = _gth(stack.reshape(1, len(stack), n, n))
+        assert np.array_equal(mu2[0], mu) and failures2 == failures
+    assert {verdict[0] for verdict in reasons if verdict} == {"reducible",
+                                                             "periodic"}
+    assert ("reducible", "state 0 cannot reach state 1") in reasons
+    assert any(v and v[1].endswith("cannot reach state 0") for v in reasons)
+    assert reasons[None] >= 8 * 3
 
 
 def test_random_mdp_determinism_and_variation():
