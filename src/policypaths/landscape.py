@@ -36,7 +36,7 @@ LEVEL_NUDGE = 1e-6
 class ScalarField2D:
     """A scalar field with analytic gradient on a rectangular domain."""
 
-    evaluate: callable              # (x, y) -> float
+    evaluate: callable              # (x, y) -> float; row x, column y -> grid
     gradient: callable              # (x, y) -> (gx, gy)
     bounds: tuple                   # ((x_lo, x_hi), (y_lo, y_hi))
     name: str = ""
@@ -57,14 +57,36 @@ class ScalarField2D:
         return self.gradient(x, y)
 
 
+def _ipow(base, k):
+    """``base ** k`` by Python's scalar pow, also elementwise on an axis
+    array (a grid row or column, so n calls for an n x n grid).  NumPy's
+    vectorised ``**`` and products such as ``d * d * d`` round differently
+    on some inputs, so grids would drift from point evaluations."""
+    if isinstance(base, np.ndarray):
+        return np.array([b ** k for b in base.ravel().tolist()]
+                        ).reshape(base.shape)
+    return base ** k
+
+
+# The field formulas take scalars or broadcast axes: x as a (1, n) row and
+# y as an (n, 1) column give the n x n grid in one pass, bit-identical to
+# evaluating each point.
+
 def _f1(x, y):
-    return (-(x - 1.0) ** 3 + 3.0 * (x - 1.0) - y * y - 2.0 * y
-            - 0.02 * (y + 10.0) ** 2 * (10.0 - x * x))
+    return (-_ipow(x - 1.0, 3) + 3.0 * (x - 1.0) - y * y - 2.0 * y
+            - 0.02 * _ipow(y + 10.0, 2) * (10.0 - x * x))
 
 
 def _f2(x, y):
-    return (-(-x - 1.0) ** 3 + 3.0 * (-x - 1.0) - y * y - 2.0 * y
-            - 0.02 * (y + 10.0) ** 2 * (10.0 - x * x))
+    return (-_ipow(-x - 1.0, 3) + 3.0 * (-x - 1.0) - y * y - 2.0 * y
+            - 0.02 * _ipow(y + 10.0, 2) * (10.0 - x * x))
+
+
+def _eval_f(x, y):
+    """``_f1`` where x >= 0, else ``_f2``; per column of a grid."""
+    if isinstance(x, np.ndarray):
+        return np.where(x >= 0, _f1(x, y), _f2(x, y))
+    return _f1(x, y) if x >= 0 else _f2(x, y)
 
 
 def _grad_f1(x, y):
@@ -103,7 +125,7 @@ def grad_g(x, y):
 def field_f():
     """The field f; ``check_domain`` is its only domain check."""
     return ScalarField2D(
-        evaluate=lambda x, y: _f1(x, y) if x >= 0 else _f2(x, y),
+        evaluate=_eval_f,
         gradient=lambda x, y: _grad_f1(x, y) if x >= 0 else _grad_f2(x, y),
         bounds=F_DOMAIN, name="f", branch_seams=(0.0,))
 
@@ -154,11 +176,11 @@ def _hessian_fd(field, x, y):
     gxm = field.grad(xm, y)
     gyp = field.grad(x, yp)
     gym = field.grad(x, ym)
-    H = np.array([
-        [(gxp[0] - gxm[0]) / (xp - xm), (gyp[0] - gym[0]) / (yp - ym)],
-        [(gxp[1] - gxm[1]) / (xp - xm), (gyp[1] - gym[1]) / (yp - ym)],
-    ])
-    return 0.5 * (H + H.T)
+    # symmetrised: the mean of the two mixed differences off the diagonal
+    h_xy = 0.5 * ((gyp[0] - gym[0]) / (yp - ym)
+                  + (gxp[1] - gxm[1]) / (xp - xm))
+    return np.array([[(gxp[0] - gxm[0]) / (xp - xm), h_xy],
+                     [h_xy, (gyp[1] - gym[1]) / (yp - ym)]])
 
 
 def _classify(H):
@@ -172,24 +194,28 @@ def _classify(H):
     return "degenerate"
 
 
+def _inf_norm(g):
+    return max(abs(g[0]), abs(g[1]))
+
+
 def _newton_from(field, x, y, sub_bounds):
     (x_lo, x_hi), (y_lo, y_hi) = sub_bounds
-    g = np.array(field.grad(x, y))
+    g = field.grad(x, y)
     for _ in range(NEWTON_MAX_ITER):
-        norm = np.linalg.norm(g, ord=np.inf)
+        norm = _inf_norm(g)
         if norm <= STATIONARY_TOL:
             return x, y
         H = _hessian_fd(field, x, y)
         try:
-            step = np.linalg.solve(H, -g)
+            step = np.linalg.solve(H, [-g[0], -g[1]])
         except np.linalg.LinAlgError:
             return None
         scale = 1.0
         while scale > 1e-6:
             xn = min(max(x + scale * step[0], x_lo), x_hi)
             yn = min(max(y + scale * step[1], y_lo), y_hi)
-            gn = np.array(field.grad(xn, yn))
-            if np.linalg.norm(gn, ord=np.inf) < norm:
+            gn = field.grad(xn, yn)
+            if _inf_norm(gn) < norm:
                 x, y, g = xn, yn, gn
                 break
             scale *= NEWTON_DAMPING
@@ -223,6 +249,8 @@ def find_stationary_points(field):
     seams = sorted(field.branch_seams)
     x_edges = [x_lo] + [s for s in seams if x_lo < s < x_hi] + [x_hi]
     found = []
+    # coordinates of the points found so far, for a vectorised dedup test
+    found_xy = np.empty((2, (len(x_edges) - 1) * NEWTON_SEEDS ** 2))
     for lo, hi in zip(x_edges[:-1], x_edges[1:]):
         eps = 1e-9 * max(1.0, hi - lo)
         xs = np.linspace(lo + eps, hi - eps, NEWTON_SEEDS)
@@ -236,34 +264,36 @@ def find_stationary_points(field):
                 if (x - lo < BOUNDARY_MARGIN and lo != x_lo) \
                         or (hi - x < BOUNDARY_MARGIN and hi != x_hi):
                     # converged onto a seam; the mirrored branch owns it
-                    if np.linalg.norm(field.grad(x, y),
-                                      ord=np.inf) > STATIONARY_TOL:
+                    if _inf_norm(field.grad(x, y)) > STATIONARY_TOL:
                         continue
                 if min(x - x_lo, x_hi - x, y - y_lo, y_hi - y) \
                         < BOUNDARY_MARGIN:
                     continue
-                if any(np.hypot(x - p.x, y - p.y) < DEDUP_RADIUS
-                       for p in found):
+                n = len(found)
+                if (np.hypot(x - found_xy[0, :n], y - found_xy[1, :n])
+                        < DEDUP_RADIUS).any():
                     continue
+                found_xy[:, n] = x, y
                 H = _hessian_fd(field, x, y)
                 found.append(StationaryPoint(
                     x=float(x), y=float(y), value=float(field(x, y)),
                     classification=_classify(H),
-                    grad_norm=float(np.linalg.norm(field.grad(x, y),
-                                                   ord=np.inf))))
+                    grad_norm=float(_inf_norm(field.grad(x, y)))))
     found.sort(key=lambda p: (p.x, p.y))
     return found
 
 
 def field_grid(field, resolution):
+    """Field values on a resolution x resolution grid, row i at ys[i], in
+    one broadcast evaluation.  ``linspace`` is monotone and hits both
+    endpoints exactly, so checking the two opposite corners checks every
+    grid point."""
     (x_lo, x_hi), (y_lo, y_hi) = field.bounds
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
-    values = np.empty((resolution, resolution))
-    for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            values[i, j] = field(x, y)
-    return xs, ys, values
+    field.check_domain(xs[0], ys[0])
+    field.check_domain(xs[-1], ys[-1])
+    return xs, ys, field.evaluate(xs[np.newaxis, :], ys[:, np.newaxis])
 
 
 def superlevel_components(field, level, resolution):
@@ -300,10 +330,9 @@ def heatmap_csv(field, resolution):
     """CSV grid of field values: first row x coordinates, first column y."""
     xs, ys, values = field_grid(field, resolution)
     buf = io.StringIO()
-    buf.write("y\\x," + ",".join(repr(float(x)) for x in xs) + "\n")
-    for i, y in enumerate(ys):
-        buf.write(repr(float(y)) + ","
-                  + ",".join(repr(float(v)) for v in values[i]) + "\n")
+    buf.write("y\\x," + ",".join(map(repr, xs.tolist())) + "\n")
+    for y, row in zip(ys.tolist(), values):
+        buf.write(repr(y) + "," + ",".join(map(repr, row.tolist())) + "\n")
     return buf.getvalue()
 
 

@@ -6,10 +6,33 @@ import numpy as np
 import pytest
 
 from policypaths.errors import OutOfDomain
-from policypaths.landscape import (census, check_gradient, eval_f, eval_g,
-                                   field_f, field_g, find_stationary_points,
+from policypaths.landscape import (DEDUP_RADIUS, census, check_gradient,
+                                   eval_f, eval_g, field_f, field_g,
+                                   field_grid, find_stationary_points,
                                    grad_f, grad_g, heatmap_csv,
                                    superlevel_components)
+
+
+def grid_by_points(field, resolution):
+    """Reference for ``field_grid``: one scalar ``field(x, y)`` call per
+    grid point."""
+    (x_lo, x_hi), (y_lo, y_hi) = field.bounds
+    xs = np.linspace(x_lo, x_hi, resolution)
+    ys = np.linspace(y_lo, y_hi, resolution)
+    values = np.empty((resolution, resolution))
+    for i, y in enumerate(ys):
+        for j, x in enumerate(xs):
+            values[i, j] = field(x, y)
+    return xs, ys, values
+
+
+def assert_separated(points):
+    # the dedup keeps no two points closer than DEDUP_RADIUS
+    x = np.array([p.x for p in points])
+    y = np.array([p.y for p in points])
+    dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    np.fill_diagonal(dist, np.inf)
+    assert dist.min() >= DEDUP_RADIUS
 
 
 def test_f_branch_seam_consistency():
@@ -77,6 +100,7 @@ def test_f_stationary_points():
     assert all(abs(p.y - (-1.12)) < 1e-2 for p in points)
     # symmetric pair: equal values
     assert abs(points[0].value - points[1].value) < 1e-9
+    assert_separated(points)
 
 
 def test_g_stationary_points():
@@ -87,6 +111,25 @@ def test_g_stationary_points():
     ring = [p for p in points if abs(np.hypot(p.x, p.y) - np.sqrt(2)) < 1e-4]
     assert ring
     assert all(abs(p.value - 4.0) < 1e-8 for p in ring)
+    assert_separated(points)
+
+
+@pytest.mark.parametrize("make_field", [field_f, field_g])
+@pytest.mark.parametrize("resolution", [64, 65, 512])
+def test_field_grid_matches_pointwise(make_field, resolution):
+    # Bitwise, not to a tolerance: the heatmaps and the census must not
+    # depend on whether a value came from the grid or from a point.  At 65
+    # the seam x = 0 of f lies on the grid.  NumPy's vectorised ** can round
+    # some cubes of f differently from Python's scalar pow.
+    field = make_field()
+    xs, ys, values = field_grid(field, resolution)
+    ref_xs, ref_ys, ref = grid_by_points(field, resolution)
+    assert xs.tobytes() == ref_xs.tobytes()
+    assert ys.tobytes() == ref_ys.tobytes()
+    assert values.shape == ref.shape
+    assert values.tobytes() == ref.tobytes()
+    if resolution == 65:
+        assert 0.0 in xs
 
 
 def test_f_superlevel_two_components_near_max():
