@@ -15,7 +15,10 @@ class PropertyViolation(PolicyPathsError):
 
 class NonConvergence(PolicyPathsError):
     """A stationary solve failed: the chain is not ergodic, or the balance
-    residual misses its tolerance."""
+    residual misses its tolerance.  ``chain`` is the flat index of the
+    failing chain in its stack (0 for a single chain)."""
+
+    chain = 0
 
 
 class ZeroStateMass(PolicyPathsError):

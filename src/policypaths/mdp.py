@@ -9,7 +9,12 @@ ergodicity from the chain's graph.  It solves one chain or a stack of
 chains with the same operations, so the enumerations over all |A|^|S|
 deterministic policies (``check_ergodicity`` here, ``det_occupancies`` in
 ``attack``) solve their chains in stacks of at most CHAIN_BLOCK, with the
-bits and verdicts of one call per chain.
+bits and verdicts of one call per chain.  ``check_policy``,
+``transition_matrix``, ``stationary_distribution`` and ``occupancy`` take
+a stack too: policies of shape ``(..., S, A)`` or chains of shape
+``(..., n, n)``.  Each chain of a stack gets the bits, the checks and the
+verdict of its own call, a single policy or chain is the empty stack, and
+a failing stack names its first failing chain.
 """
 
 import json
@@ -89,10 +94,11 @@ class Mdp:
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Stationary distribution of an ergodic chain, with achieved residual."""
+    """Stationary distribution of an ergodic chain, with achieved residual;
+    for a stack of chains, one row of ``mu`` and one residual per chain."""
 
     mu: np.ndarray
-    residual: float
+    residual: float | np.ndarray
     iterations: int           # always 1: the solve is one direct elimination
 
 
@@ -107,45 +113,60 @@ class ErgodicityCertificate:
 
 
 def check_policy(pi, n_states, n_actions):
-    """Validate a policy table pi[s, a] and return it as a float array."""
+    """Validate a policy table pi[s, a], or a stack of them with shape
+    ``(..., S, A)``, and return it as a float array."""
     pi = np.asarray(pi, dtype=float)
-    if pi.shape != (n_states, n_actions):
+    if pi.shape[-2:] != (n_states, n_actions):
         raise ValueError(f"policy shape {pi.shape} != ({n_states}, {n_actions})")
     if np.any(pi < 0):
         raise ValueError("policy entries must be nonnegative")
-    if np.max(np.abs(pi.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
+    if np.max(np.abs(pi.sum(axis=-1) - 1.0)) > ROW_SUM_TOL:
         raise ValueError("policy rows must sum to 1 within 1e-12")
     return pi
 
 
 def transition_matrix(mdp, pi):
-    """Column-stochastic state transition matrix P[s', s] under policy pi."""
+    """Column-stochastic state transition matrix P[s', s] under policy pi,
+    or the ``(..., S, S)`` stack of them for a stack of policies."""
     pi = check_policy(pi, mdp.n_states, mdp.n_actions)
-    return np.einsum("sap,sa->ps", mdp.kernel, pi)
+    return np.einsum("sap,...sa->...ps", mdp.kernel, pi)
 
 
 def stationary_distribution(P):
-    """Stationary distribution of a column-stochastic matrix by GTH elimination.
+    """Stationary distribution of a column-stochastic matrix by GTH
+    elimination, or of each matrix of an ``(..., n, n)`` stack.
 
     One exact, subtraction-free elimination (``_gth``), so ``iterations``
-    is always 1.  Raises NonConvergence when the chain is not ergodic,
-    judged from its graph (reducible or periodic), and when the balance
-    residual exceeds STATIONARY_TOL.
+    is always 1.  Raises NonConvergence when a chain is not ergodic,
+    judged from its graph (reducible or periodic), and when its balance
+    residual exceeds STATIONARY_TOL.  In a stack the first failing chain
+    (in flat order) is named, as ``chain`` on the error.
     """
     P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    if P.shape != (n, n):
+    n = P.shape[-1]
+    if P.ndim < 2 or P.shape[-2] != n:
         raise ValueError("P must be square")
-    if not (P.min() >= 0.0 and np.abs(P.sum(axis=0) - 1.0).max() <= 1e-10):
+    if not (P.min() >= 0.0 and np.abs(P.sum(axis=-2) - 1.0).max() <= 1e-10):
         raise ValueError("P must be column-stochastic")
     mu, failures = _gth(P)
-    if failures:
-        raise NonConvergence("%s chain: %s" % failures[0])
-    mu /= mu.sum()
-    residual = float(np.abs(P @ mu - mu).max())
-    if not residual <= STATIONARY_TOL:
-        raise NonConvergence(f"balance residual {residual:.3e} exceeds "
-                             f"tol={STATIONARY_TOL}")
+    single = P.ndim == 2
+    if single:  # one chain keeps its scalar sum and its 2-D product
+        mu /= mu.sum()
+        residual = worst = float(np.abs(P @ mu - mu).max())
+    else:
+        mu /= mu.sum(axis=-1, keepdims=True)
+        residual = np.abs((P @ mu[..., None])[..., 0] - mu).max(axis=-1)
+        worst = residual.max()
+    if failures or not worst <= STATIONARY_TOL:
+        flat = np.ravel(residual)
+        first = min(failures.keys() | set(
+            np.flatnonzero(~(flat <= STATIONARY_TOL)).tolist()))
+        error = NonConvergence(
+            ("" if single else f"chain {first}: ")
+            + ("%s chain: %s" % failures[first] if first in failures else
+               f"balance residual {flat[first]:.3e} exceeds tol={STATIONARY_TOL}"))
+        error.chain = first
+        raise error
     return StationaryDistribution(mu=mu, residual=residual, iterations=1)
 
 
@@ -213,10 +234,11 @@ def _gth(P):
 
 
 def occupancy(mdp, pi):
-    """State-action stationary distribution mu_hat[s, a] induced by pi."""
+    """State-action stationary distribution mu_hat[s, a] induced by pi, or
+    the ``(..., S, A)`` stack of them for a stack of policies."""
     P = transition_matrix(mdp, pi)
     mu = stationary_distribution(P).mu
-    return mu[:, None] * np.asarray(pi, dtype=float)
+    return mu[..., None] * np.asarray(pi, dtype=float)
 
 
 def policy_from_occupancy(mu_hat):

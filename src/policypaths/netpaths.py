@@ -8,8 +8,9 @@ The output-preserving segments are full-rank repairs, first-layer rank
 restoration and swap, pseudo-inverse preimage moves and full-rank tall
 matrix paths; one "tabular lift" segment carries the network output along
 the occupancy-blend policy path, which is where the value bound comes
-from.  The assembled path is certified in one pass: a single forward
-evaluation per snapshot feeds both the output-drift check and the value
+from.  The assembled path is certified in one pass, one stacked step per
+leg: a single forward evaluation of all the leg's snapshots feeds both the
+output-drift check and one stacked occupancy solve, which gives the value
 of every reward.
 """
 
@@ -19,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import (BoundViolated, NonPositivePolicy, OutputDrift,
-                     PathStalled, PolicyFloorViolated, RankDeficient,
-                     RepairUnavailable, RestorationStalled, SwapFailed)
+from .errors import (BoundViolated, NonConvergence, NonPositivePolicy,
+                     OutputDrift, PathStalled, PolicyFloorViolated,
+                     RankDeficient, RepairUnavailable, RestorationStalled,
+                     SwapFailed)
 from .mdp import occupancy, stationary_distribution, transition_matrix
 from .network import (NetArchitecture, Theta, check_assumptions, forward,
                       sigma, sigma_inv, softmax_inv_rows)
@@ -82,20 +84,27 @@ class _Invariant:
     an upper bound, or a lower bound when ``floor`` is set."""
 
     name: str
-    measure: Callable
+    measure: Callable | None  # None where the caller measures the residual
     tol: float
     error: type
     label: str
     floor: bool = False
 
-    def check(self, samples):
-        """The residual at each sample; raises ``error`` past the bound."""
-        residual = np.array([self.measure(s) for s in samples])
-        worst = residual.min() if self.floor else residual.max()
+    def enforce(self, residual, seg):
+        """``residual``, sampled at the points of ``seg``, if its worst entry
+        keeps the bound; else raises ``error``, naming the segment's kind
+        and the alpha of that entry."""
+        i = int(residual.argmin() if self.floor else residual.argmax())
+        worst = residual[i]
         if (worst < self.tol) if self.floor else (worst > self.tol):
             bound = "dipped below" if self.floor else "exceeds"
-            raise self.error(f"{self.label} {worst:.3e} {bound} {self.tol}")
+            raise self.error(
+                f"{self.label} {worst:.3e} {bound} {self.tol}{_at(seg, i)}")
         return residual
+
+
+def _at(seg, i):
+    return f" on {seg.kind} at alpha {seg.alphas[i]:.6g}"
 
 
 def _sample(stages, grid):
@@ -118,10 +127,12 @@ def _segment(kind, stages, grid, invariant=None, metadata=None):
     """Sample ``stages`` and certify ``invariant`` at every point.  Without
     an invariant the residuals are left to the assembled certification."""
     alphas, points = _sample(stages, grid)
-    residuals = {} if invariant is None else \
-        {invariant.name: invariant.check(points)}
-    return PathSegment(kind=kind, alphas=alphas, points=points,
-                       residuals=residuals, metadata=metadata or {})
+    seg = PathSegment(kind=kind, alphas=alphas, points=points, residuals={},
+                      metadata=metadata or {})
+    if invariant is not None:
+        seg.residuals[invariant.name] = invariant.enforce(
+            np.array([invariant.measure(p) for p in points]), seg)
+    return seg
 
 
 def _augment(X):
@@ -809,14 +820,6 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
     pi_1 = forward(arch, theta_1, X)
     pi_2 = forward(arch, theta_2, X)
 
-    # Each leg declares the output it must keep: the policy of the endpoint
-    # on its side, or none for the tabular lift.
-    def pinned(pi):
-        return _Invariant("output_drift", lambda out: np.max(np.abs(out - pi)),
-                          assembled_tol, OutputDrift, "assembled output drift")
-
-    pinned_1, pinned_2 = pinned(pi_1), pinned(pi_2)
-
     prep_1, theta_1p = _prepare_endpoint(arch, X, theta_1, seed, grid)
     prep_2, theta_2p = _prepare_endpoint(arch, X, theta_2, seed + 100, grid)
 
@@ -867,7 +870,9 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
                             grid=grid),
         embed_sub)
 
-    legs = [(seg, pinned_1) for seg in prep_1 + [seg_swap, seg_chain_1]]
+    # Each leg declares the output it must keep: the policy of the endpoint
+    # on its side, or none for the tabular lift.
+    legs = [(seg, pi_1) for seg in prep_1 + [seg_swap, seg_chain_1]]
 
     # Carry the deep weights from side 1 to side 2 through full-rank tall
     # matrices, re-solving the second layer so the output stays pinned.
@@ -889,7 +894,7 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
             return embed_sub(sub_with_h(layers_t, pi_1))
 
         legs.append((_segment("weight-swap-with-h", [h_swap_stage], grid),
-                     pinned_1))
+                     pi_1))
 
     # The only non-output-preserving leg: slide the realized policy along
     # the occupancy-blend path from pi_1 to pi_2.
@@ -907,12 +912,14 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
                             grid=grid),
         embed_sub)
     side_2 = [seg_chain_2] + [_lift(s, reverse=True) for s in reversed(prep_2)]
-    legs += [(seg, pinned_2) for seg in side_2]
+    legs += [(seg, pi_2) for seg in side_2]
     segments = [seg for seg, _ in legs]
 
-    # Certification in one pass: one forward per snapshot feeds the drift
-    # check of the output-preserving legs and the value floor of every
-    # reward at once.
+    # Certification in one pass, one stacked step per leg: one forward over
+    # the leg's snapshots feeds the drift check of an output-preserving leg
+    # and one occupancy solve, which gives the value of every reward.
+    drift = _Invariant("output_drift", None, assembled_tol, OutputDrift,
+                       "assembled output drift")
     floor = None
     margins = None
     if rewards:
@@ -923,26 +930,38 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
                          (R * mu_hat2.ravel()).sum(axis=1)])
         floor = ends.min(axis=0)
         margins = np.full(len(rewards), np.inf)
+        dips = [None] * len(rewards)  # per reward, where its margin was set
     drift_max = 0.0
-    for seg, drift in legs:
-        if drift is None and not rewards:
+    for seg, pinned in legs:
+        if pinned is None and not rewards:
             continue
-        outputs = [forward(arch, p, X) for p in seg.points]
-        if drift is not None:
-            residual = drift.check(outputs)
+        outputs = forward(arch, Theta.stack(seg.points), X)
+        if pinned is not None:
+            residual = drift.enforce(
+                np.abs(outputs - pinned).max(axis=(1, 2)), seg)
             seg.residuals[drift.name] = residual
             drift_max = max(drift_max, float(residual.max()))
         if rewards:
-            values = np.array([(R * occupancy(mdp, out).ravel()).sum(axis=1)
-                               for out in outputs])
+            try:
+                occ = occupancy(mdp, outputs)
+            except NonConvergence as exc:
+                exc.args = (f"{exc}{_at(seg, exc.chain)}",)
+                raise
+            values = (R * occ.reshape(len(occ), 1, -1)).sum(axis=-1)
             seg.residuals["values"] = values
-            margins = np.minimum(margins, values.min(axis=0) - floor)
+            low = values.min(axis=0) - floor
+            lowest = values.argmin(axis=0)
+            for j in np.flatnonzero(low < margins):
+                dips[j] = (seg, lowest[j])
+            margins = np.minimum(margins, low)
     if rewards:
         worst = int(np.argmin(margins))
         if margins[worst] < -assembled_tol:
+            seg, i = dips[worst]
             raise BoundViolated(
                 f"value dropped {-margins[worst]:.3e} below the endpoint floor "
-                f"for reward {worst}", reward_index=worst)
+                f"for reward {worst}{_at(seg, i)}",
+                alpha=float(seg.alphas[i]), reward_index=worst)
 
     certificate = {
         "segment_kinds": [s.kind for s in segments],

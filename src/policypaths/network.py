@@ -1,6 +1,11 @@
 """Softmax policy networks: forward pass, exact activation inverses,
 architecture checks, and value evaluation.
 
+A Theta may hold a stack of parameter sets, each weight of shape
+``(..., n_{k-1}, n_k)`` and each bias ``(..., n_k)`` with the same leading
+shape; ``forward`` then evaluates every set at once, each with the bits
+of its own call.
+
 Hidden layers use a leaky rectifier (slope beta on the negative side),
 which is strictly monotonic with range equal to the whole real line, so
 it has an exact elementwise inverse.  The final layer is a row softmax.
@@ -58,13 +63,20 @@ class Theta:
         if len(self.weights) != len(self.biases):
             raise ShapeMismatch("weights and biases must pair up per layer")
 
+    @classmethod
+    def stack(cls, thetas):
+        """One Theta holding ``thetas`` along a new leading axis."""
+        return cls(weights=[np.stack(W) for W in zip(*(t.weights for t in thetas))],
+                   biases=[np.stack(b) for b in zip(*(t.biases for t in thetas))])
+
     def check_shapes(self, arch):
         if len(self.weights) != arch.depth:
             raise ShapeMismatch(
                 f"{len(self.weights)} layers vs architecture depth {arch.depth}")
+        lead = self.weights[0].shape[:-2]
         for k, (W, b) in enumerate(zip(self.weights, self.biases)):
             expected = (arch.widths[k], arch.widths[k + 1])
-            if W.shape != expected or b.shape != (arch.widths[k + 1],):
+            if W.shape != lead + expected or b.shape != lead + expected[1:]:
                 raise ShapeMismatch(
                     f"layer {k + 1}: W {W.shape}, b {b.shape}, expected {expected}")
 
@@ -130,7 +142,8 @@ def one_hot_features(n_states, dim=None):
 
 
 def forward(arch, theta, X, return_hidden=False):
-    """Evaluate the network on a feature table; returns the policy table.
+    """Evaluate the network on a feature table; returns the policy table,
+    or the ``(..., S, A)`` stack of them for a stacked Theta.
 
     With ``return_hidden`` also returns the per-layer outputs
     ``[F_1, ..., F_L]`` (post-activation; the last entry is the policy).
@@ -143,7 +156,7 @@ def forward(arch, theta, X, return_hidden=False):
     F = X
     hidden = []
     for k in range(arch.depth):
-        pre = F @ theta.weights[k] + ones * theta.biases[k][None, :]
+        pre = F @ theta.weights[k] + ones * theta.biases[k][..., None, :]
         F = softmax_rows(pre) if k == arch.depth - 1 else sigma(pre, arch.leaky_slope)
         hidden.append(F)
     return (hidden, F) if return_hidden else F

@@ -20,7 +20,7 @@ from policypaths.mdp import (CHAIN_BLOCK, ErgodicityCertificate, Mdp,
                              discounted_to_average, occupancy,
                              policy_from_occupancy, random_ergodic_mdp,
                              stationary_distribution, transition_matrix)
-from ring_kernels import lazy_ring, ring_kernel
+from ring_kernels import lazy_ring, ring_kernel, ring_mdp
 
 
 def uniform_policy(s, a):
@@ -487,3 +487,76 @@ def test_discounted_to_average_hand_formula():
     out = discounted_to_average(mdp, gamma, restart)
     expected = gamma * mdp.kernel + (1 - gamma) * restart[None, None, :]
     assert np.max(np.abs(out.kernel - expected)) <= 1e-15
+
+
+def _stack_families():
+    """(MDP, stack of strictly positive policies): dense kernels with |S|
+    2-6 and |A| 2-4, and ring kernels up to |S| = 48."""
+    rng = np.random.default_rng(81)
+    for S in range(2, 7):
+        for A in range(2, 5):
+            yield random_ergodic_mdp(810 + 10 * S + A, S, A), \
+                rng.dirichlet(np.full(A, 0.5), size=(9, S))
+    for S in (3, 8, 16, 24, 48):
+        yield ring_mdp(820 + S, S, 3), rng.dirichlet(np.ones(3), size=(9, S))
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_occupancy_matches_one_policy_calls():
+    # Bitwise: a policy's occupancy must not depend on the stack it is in.
+    for mdp, pis in _stack_families():
+        P = transition_matrix(mdp, pis)
+        stationary = stationary_distribution(P)
+        occ = occupancy(mdp, pis)
+        assert occ.shape == pis.shape
+        assert stationary.residual.shape == (len(pis),)
+        for i, pi in enumerate(pis):
+            one_P = transition_matrix(mdp, pi)
+            one = stationary_distribution(one_P)
+            assert np.array_equal(P[i], one_P)
+            assert np.array_equal(stationary.mu[i], one.mu)
+            assert stationary.residual[i] == one.residual
+            assert np.array_equal(occ[i], occupancy(mdp, pi))
+        # two leading axes are one stack in C order
+        grid = occupancy(mdp, pis.reshape(3, 3, *pis.shape[1:]))
+        assert np.array_equal(grid.reshape(pis.shape), occ)
+
+
+def _positive_chains(rng, n, count):
+    return np.array([rng.dirichlet(np.ones(n), size=n).T for _ in range(count)])
+
+
+def test_stacked_stationary_names_first_failing_chain():
+    rng = np.random.default_rng(82)
+    stack = _positive_chains(rng, 4, 7)
+    stack[3][:, 3] = np.eye(4)[3]                 # state 3 absorbs
+    stack[5] = np.roll(np.eye(4), 1, axis=0)      # period 4
+    with pytest.raises(NonConvergence) as one:
+        stationary_distribution(stack[3])
+    assert one.value.chain == 0
+    with pytest.raises(NonConvergence) as stacked:
+        stationary_distribution(stack)
+    assert stacked.value.chain == 3
+    assert str(stacked.value) == "chain 3: " + str(one.value)
+    # the occupancy of a stack of policies names its first failing policy
+    kernel = np.stack([np.eye(3), rng.dirichlet(np.ones(3), size=3)], axis=1)
+    mdp = Mdp(kernel=kernel, reward=np.zeros((3, 2)))
+    pis = rng.dirichlet(np.ones(2), size=(5, 3))
+    pis[2] = [1.0, 0.0]                           # stay put: reducible
+    with pytest.raises(NonConvergence, match=r"^chain 2: reducible chain"):
+        occupancy(mdp, pis)
+
+
+def test_stacked_stationary_names_first_residual_failure(monkeypatch):
+    # The uniform chain's residual is exactly 0, a random chain's is not:
+    # with the tolerance at 0, chain 1 fails on its residual before chain 3
+    # fails on its graph.
+    rng = np.random.default_rng(83)
+    stack = np.full((4, 4, 4), 0.25)
+    stack[1] = _positive_chains(rng, 4, 1)[0]
+    stack[3][:, 0] = np.eye(4)[0]                 # state 0 absorbs
+    monkeypatch.setattr("policypaths.mdp.STATIONARY_TOL", 0.0)
+    assert stationary_distribution(stack[0]).residual == 0.0
+    with pytest.raises(NonConvergence,
+                       match=r"^chain 1: balance residual .* exceeds tol=0.0"):
+        stationary_distribution(stack)

@@ -1,11 +1,17 @@
 """Tests for the network parameter-space path segments and their assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from policypaths.errors import (NonPositivePolicy, RankDeficient,
+from policypaths import netpaths
+from policypaths.errors import (BoundViolated, NonConvergence,
+                                NonPositivePolicy, OutputDrift, RankDeficient,
                                 RepairUnavailable)
-from policypaths.mdp import average_reward, occupancy, random_ergodic_mdp
+from policypaths.mdp import (Mdp, average_reward, deterministic_policy,
+                             occupancy, random_ergodic_mdp,
+                             stationary_distribution, transition_matrix)
 from policypaths.netpaths import (assemble_nn_path, canonical_layers,
                                   first_layer_swap, fullrank_tall_path, h_map,
                                   preimage_chain_path, rank_restore_first_layer,
@@ -413,3 +419,149 @@ def test_assemble_residuals_cover_every_snapshot():
             assert seg.residuals["output_drift"].shape == (n,)
             assert seg.max_residual("output_drift") \
                 <= path.certificate["max_output_drift"]
+
+
+BENCH_WIDTHS = [(3, 6, 4, 2), (4, 8, 6, 3), (3, 8, 6, 4, 2), (6, 12, 8, 4)]
+
+
+def certify_per_snapshot(mdp, arch, X, path, rewards):
+    """The certification pass one snapshot at a time: one forward and one
+    occupancy solve per snapshot.  The oracle for the stacked pass of
+    ``assemble_nn_path``; returns its certificate and, per segment, the
+    residuals that pass writes."""
+    pi_1 = forward(arch, path.theta_start, X)
+    pi_2 = forward(arch, path.theta_end, X)
+    mu1 = stationary_distribution(transition_matrix(mdp, pi_1)).mu
+    mu2 = stationary_distribution(transition_matrix(mdp, pi_2)).mu
+    kinds = [seg.kind for seg in path.segments]
+    lift = kinds.index("tabular-lift")
+    R = np.reshape(rewards, (len(rewards), pi_1.size))
+    ends = np.array([(R * (mu1[:, None] * pi_1).ravel()).sum(axis=1),
+                     (R * (mu2[:, None] * pi_2).ravel()).sum(axis=1)])
+    floor = ends.min(axis=0)
+    margins = np.full(len(rewards), np.inf)
+    drift_max = 0.0
+    residuals = []
+    for k, seg in enumerate(path.segments):
+        pinned = pi_1 if k < lift else (None if k == lift else pi_2)
+        outputs = [forward(arch, p, X) for p in seg.points]
+        found = {}
+        if pinned is not None:
+            drift = np.array([np.max(np.abs(out - pinned)) for out in outputs])
+            found["output_drift"] = drift
+            drift_max = max(drift_max, float(drift.max()))
+        values = np.array([(R * occupancy(mdp, out).ravel()).sum(axis=1)
+                           for out in outputs])
+        found["values"] = values
+        margins = np.minimum(margins, values.min(axis=0) - floor)
+        residuals.append(found)
+    certificate = {"segment_kinds": kinds, "max_output_drift": drift_max,
+                   "value_floor": floor.tolist(),
+                   "value_margins": margins.tolist(),
+                   "n_rewards": len(rewards), "verdict": True}
+    return certificate, residuals
+
+
+@pytest.mark.parametrize("widths", BENCH_WIDTHS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_assemble_matches_per_snapshot_oracle(widths, seed):
+    # Bitwise: the stacked pass certifies exactly what the per-snapshot
+    # pass certifies, and leaves the snapshot schedule untouched.
+    n_states, n_actions = widths[0], widths[-1]
+    arch = NetArchitecture(widths=widths)
+    X = one_hot_features(n_states)
+    mdp = random_ergodic_mdp(40 + seed, n_states, n_actions)
+    rng = np.random.default_rng(40 + seed)
+    rewards = [rng.uniform(size=(n_states, n_actions)) for _ in range(10)]
+    theta_1, theta_2 = random_theta(arch, 2 * seed), random_theta(arch, 2 * seed + 1)
+    grid = uniform_grid(101)
+    path = assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=rewards,
+                            grid=grid, seed=seed)
+    certificate, residuals = certify_per_snapshot(mdp, arch, X, path, rewards)
+    assert path.certificate == certificate
+    assert repr(path.certificate) == repr(certificate)
+    for seg, found in zip(path.segments, residuals):
+        for name, residual in found.items():
+            assert seg.residuals[name].dtype == residual.dtype
+            assert np.array_equal(seg.residuals[name], residual)
+    unrewarded = assemble_nn_path(mdp, arch, X, theta_1, theta_2, grid=grid,
+                                  seed=seed)
+    assert path.snapshot_bytes() == unrewarded.snapshot_bytes()
+
+
+def _path_inputs(seed):
+    mdp = random_ergodic_mdp(seed, 3, 2)
+    return mdp, random_theta(ARCH, seed), random_theta(ARCH, seed + 1)
+
+
+def test_assemble_drift_failure_names_segment_and_alpha(monkeypatch):
+    # Knock one interior snapshot of each preimage chain off its output.
+    real = netpaths.preimage_chain_path
+    knocked = []
+
+    def knocked_chain(*args, **kwargs):
+        seg = real(*args, **kwargs)
+        i = len(seg.points) // 2
+        theta = seg.points[i].copy()
+        theta.biases[-1] = theta.biases[-1] + np.array([0.5, 0.0])
+        seg.points[i] = theta
+        knocked.append(seg.alphas[i])
+        return seg
+
+    monkeypatch.setattr(netpaths, "preimage_chain_path", knocked_chain)
+    mdp, theta_1, theta_2 = _path_inputs(30)
+    with pytest.raises(OutputDrift) as failure:
+        assemble_nn_path(mdp, ARCH, X3, theta_1, theta_2,
+                         rewards=[mdp.reward], grid=uniform_grid(21))
+    assert str(failure.value).startswith("assembled output drift")
+    assert str(failure.value).endswith(
+        f" on preimage-chain at alpha {knocked[0]:.6g}")
+
+
+def test_assemble_bound_failure_names_segment_and_alpha(monkeypatch):
+    # Swap the lift's policy at alpha 0.5 for one worth less than both ends.
+    mdp, theta_1, theta_2 = _path_inputs(31)
+    values = {a: average_reward(mdp, deterministic_policy(a, 2))
+              for a in itertools.product(range(2), repeat=3)}
+    low = 0.999 * deterministic_policy(min(values, key=values.get), 2) + 0.0005
+    floor = min(average_reward(mdp, forward(ARCH, t, X3))
+                for t in (theta_1, theta_2))
+    assert average_reward(mdp, low) < floor - 1e-3
+    real = netpaths.interpolate_policies
+
+    def dipping(mdp_, pi1, pi2, alpha, **kwargs):
+        return low if alpha == 0.5 else real(mdp_, pi1, pi2, alpha, **kwargs)
+
+    monkeypatch.setattr(netpaths, "interpolate_policies", dipping)
+    with pytest.raises(BoundViolated) as failure:
+        assemble_nn_path(mdp, ARCH, X3, theta_1, theta_2,
+                         rewards=[np.zeros((3, 2)), mdp.reward],
+                         grid=uniform_grid(21))
+    assert failure.value.reward_index == 1
+    assert failure.value.alpha == 0.5
+    assert str(failure.value).endswith(
+        "for reward 1 on tabular-lift at alpha 0.5")
+
+
+def test_assemble_nonconvergence_names_segment_and_alpha(monkeypatch):
+    # Action 0 stays put, so the policy that always takes it is reducible;
+    # it replaces the middle snapshot of every stack the pass solves.
+    rng = np.random.default_rng(32)
+    kernel = np.stack([np.eye(3), rng.dirichlet(np.ones(3), size=3)], axis=1)
+    mdp = Mdp(kernel=kernel, reward=rng.uniform(size=(3, 2)))
+    real = netpaths.occupancy
+
+    def stuck(mdp_, pis):
+        pis = pis.copy()
+        pis[len(pis) // 2] = [1.0, 0.0]
+        return real(mdp_, pis)
+
+    monkeypatch.setattr(netpaths, "occupancy", stuck)
+    _, theta_1, theta_2 = _path_inputs(32)
+    with pytest.raises(NonConvergence) as failure:
+        assemble_nn_path(mdp, ARCH, X3, theta_1, theta_2,
+                         rewards=[mdp.reward], grid=uniform_grid(21))
+    assert failure.value.chain == 10
+    assert str(failure.value).startswith("chain 10: reducible chain")
+    assert str(failure.value).endswith(
+        " on weight-fullrank-repair at alpha 0.5")

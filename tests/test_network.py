@@ -100,6 +100,41 @@ def test_forward_shape_mismatch():
         forward(arch, theta, np.zeros((3, 4)))
 
 
+BENCH_WIDTHS = [(3, 6, 4, 2), (4, 8, 6, 3), (3, 8, 6, 4, 2), (6, 12, 8, 4)]
+
+
+@pytest.mark.parametrize("widths", BENCH_WIDTHS)
+def test_stacked_forward_matches_one_theta_calls(widths):
+    # Bitwise: a snapshot's output must not depend on the stack it is in.
+    rng = np.random.default_rng(sum(widths))
+    for slope in (0.01, 0.3):
+        arch = NetArchitecture(widths=widths, leaky_slope=slope)
+        thetas = [random_theta(arch, seed) for seed in range(7)]
+        stacked = Theta.stack(thetas)
+        for X in (one_hot_features(widths[0]),
+                  rng.normal(size=(widths[0] + 1, widths[0]))):
+            hidden, pi = forward(arch, stacked, X, return_hidden=True)
+            assert pi.shape == (7, X.shape[0], widths[-1])
+            assert np.array_equal(forward(arch, stacked, X), pi)
+            for i, theta in enumerate(thetas):
+                one_hidden, one_pi = forward(arch, theta, X, return_hidden=True)
+                assert np.array_equal(pi[i], one_pi)
+                assert len(hidden) == len(one_hidden)
+                for F, one_F in zip(hidden, one_hidden):
+                    assert np.array_equal(F[i], one_F)
+            # a stack of stacks is one stack in C order
+            twice = forward(arch, Theta.stack([stacked, stacked]), X)
+            assert np.array_equal(twice, np.stack([pi, pi]))
+
+
+def test_stacked_theta_shape_mismatch():
+    arch = NetArchitecture(widths=(3, 6, 4, 2))
+    stacked = Theta.stack([random_theta(arch, seed) for seed in range(3)])
+    stacked.biases[1] = stacked.biases[1][0]
+    with pytest.raises(ShapeMismatch):
+        forward(arch, stacked, one_hot_features(3))
+
+
 def test_forward_row_constant_logit_shift():
     arch = NetArchitecture(widths=(3, 6, 4, 2))
     theta = random_theta(arch, 6)
