@@ -9,8 +9,8 @@ from .landscape import (ScalarField2D, census, eval_f, eval_g, field_f,
                         field_g, find_stationary_points, grad_f, grad_g,
                         superlevel_components)
 from .mdp import (ErgodicityCertificate, Mdp, StationaryDistribution,
-                  average_reward, check_ergodicity, check_policy,
-                  deterministic_policy, discounted_to_average, occupancy,
+                  average_reward, check_ergodicity, check_one_policy,
+                  check_policy, deterministic_policy, discounted_to_average, occupancy,
                   policy_from_occupancy, random_ergodic_mdp,
                   stationary_distribution, transition_matrix)
 from .netpaths import (PathSegment, SegmentedPath, assemble_nn_path,

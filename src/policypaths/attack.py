@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnchorInvalid, CrossCheckMismatch, Infeasible
-from .mdp import (STATIONARY_TOL, _deterministic_chains, _gth, check_policy,
-                  occupancy, stationary_distribution)
+from .errors import (AnchorInvalid, CrossCheckMismatch, Infeasible,
+                     NonConvergence)
+from .mdp import (_deterministic_chains, check_one_policy, occupancy,
+                  stationary_distribution)
 from .numerics import (LpProblem, extragradient_saddle, lp_solve, nnls,
                        project_polyhedron)
 
@@ -36,7 +37,7 @@ def _as_assignment(mdp, target):
                 or assignment.max() >= mdp.n_actions:
             raise ValueError("target assignment must pick one action per state")
         return assignment
-    pi = check_policy(target, mdp.n_states, mdp.n_actions)
+    pi = check_one_policy(target, mdp.n_states, mdp.n_actions)
     if not np.all(np.isin(pi, (0.0, 1.0))):
         raise ValueError("target policy must be deterministic")
     return np.argmax(pi, axis=1)
@@ -46,21 +47,18 @@ def det_occupancies(mdp):
     """Flattened occupancy measures of all deterministic policies, in
     lexicographic assignment order.
 
-    The chains are solved in stacks by the elimination behind
-    ``stationary_distribution``, with its bits, its normalisation and its
-    residual check; the first policy that fails raises what
-    ``stationary_distribution`` raises on that policy's chain.
+    The chains are solved in stacks by ``stationary_distribution``, each
+    with the bits and checks of its own call; the first policy that fails
+    raises what ``stationary_distribution`` raises on that policy's chain.
     """
     S, A = mdp.n_states, mdp.n_actions
     blocks = []
     for assignments, P in _deterministic_chains(mdp):
-        mu, failures = _gth(P)
-        mu /= mu.sum(axis=1, keepdims=True)
-        residual = np.abs((P @ mu[:, :, None])[:, :, 0] - mu).max(axis=1)
-        suspects = set(failures).union(
-            np.flatnonzero(~(residual <= STATIONARY_TOL)).tolist())
-        for i in sorted(suspects):  # raises unless the one-chain residual passes
-            stationary_distribution(P[i])
+        try:
+            mu = stationary_distribution(P).mu
+        except NonConvergence as exc:  # the failing chain's own message
+            stationary_distribution(P[exc.chain])
+            raise
         occ = np.zeros((len(mu), S * A))
         occ[np.arange(len(mu))[:, None], np.arange(S) * A + assignments] = mu
         blocks.append(occ)

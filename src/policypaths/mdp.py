@@ -14,7 +14,8 @@ bits and verdicts of one call per chain.  ``check_policy``,
 a stack too: policies of shape ``(..., S, A)`` or chains of shape
 ``(..., n, n)``.  Each chain of a stack gets the bits, the checks and the
 verdict of its own call, a single policy or chain is the empty stack, and
-a failing stack names its first failing chain.
+a failing stack names its first failing chain.  ``check_one_policy`` and
+``average_reward`` take one policy and reject a stack.
 """
 
 import json
@@ -114,7 +115,8 @@ class ErgodicityCertificate:
 
 def check_policy(pi, n_states, n_actions):
     """Validate a policy table pi[s, a], or a stack of them with shape
-    ``(..., S, A)``, and return it as a float array."""
+    ``(..., S, A)``, and return it as a float array.  Entry points that
+    take one policy use ``check_one_policy``."""
     pi = np.asarray(pi, dtype=float)
     if pi.shape[-2:] != (n_states, n_actions):
         raise ValueError(f"policy shape {pi.shape} != ({n_states}, {n_actions})")
@@ -122,6 +124,14 @@ def check_policy(pi, n_states, n_actions):
         raise ValueError("policy entries must be nonnegative")
     if np.max(np.abs(pi.sum(axis=-1) - 1.0)) > ROW_SUM_TOL:
         raise ValueError("policy rows must sum to 1 within 1e-12")
+    return pi
+
+
+def check_one_policy(pi, n_states, n_actions):
+    """``check_policy`` for one policy table: a stack is rejected."""
+    pi = check_policy(pi, n_states, n_actions)
+    if pi.ndim != 2:
+        raise ValueError(f"policy shape {pi.shape} != ({n_states}, {n_actions})")
     return pi
 
 
@@ -254,6 +264,7 @@ def average_reward(mdp, pi, reward=None):
     """Long-run average reward J_r(pi); ``reward`` defaults to the MDP's table."""
     if reward is None:
         reward = mdp.reward
+    pi = check_one_policy(pi, mdp.n_states, mdp.n_actions)
     return float(np.sum(np.asarray(reward, dtype=float) * occupancy(mdp, pi)))
 
 

@@ -84,26 +84,24 @@ class _Invariant:
     an upper bound, or a lower bound when ``floor`` is set."""
 
     name: str
-    measure: Callable | None  # None where the caller measures the residual
+    measure: Callable
     tol: float
     error: type
     label: str
     floor: bool = False
 
-    def enforce(self, residual, seg):
-        """``residual``, sampled at the points of ``seg``, if its worst entry
-        keeps the bound; else raises ``error``, naming the segment's kind
-        and the alpha of that entry."""
-        i = int(residual.argmin() if self.floor else residual.argmax())
-        worst = residual[i]
+    def check(self, samples):
+        """The residual at each sample; raises ``error`` past the bound."""
+        residual = np.array([self.measure(s) for s in samples])
+        worst = residual.min() if self.floor else residual.max()
         if (worst < self.tol) if self.floor else (worst > self.tol):
             bound = "dipped below" if self.floor else "exceeds"
-            raise self.error(
-                f"{self.label} {worst:.3e} {bound} {self.tol}{_at(seg, i)}")
+            raise self.error(f"{self.label} {worst:.3e} {bound} {self.tol}")
         return residual
 
 
 def _at(seg, i):
+    """Where a failure of the assembled certification happened."""
     return f" on {seg.kind} at alpha {seg.alphas[i]:.6g}"
 
 
@@ -127,12 +125,10 @@ def _segment(kind, stages, grid, invariant=None, metadata=None):
     """Sample ``stages`` and certify ``invariant`` at every point.  Without
     an invariant the residuals are left to the assembled certification."""
     alphas, points = _sample(stages, grid)
-    seg = PathSegment(kind=kind, alphas=alphas, points=points, residuals={},
-                      metadata=metadata or {})
-    if invariant is not None:
-        seg.residuals[invariant.name] = invariant.enforce(
-            np.array([invariant.measure(p) for p in points]), seg)
-    return seg
+    residuals = {} if invariant is None else \
+        {invariant.name: invariant.check(points)}
+    return PathSegment(kind=kind, alphas=alphas, points=points,
+                       residuals=residuals, metadata=metadata or {})
 
 
 def _augment(X):
@@ -918,8 +914,6 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
     # Certification in one pass, one stacked step per leg: one forward over
     # the leg's snapshots feeds the drift check of an output-preserving leg
     # and one occupancy solve, which gives the value of every reward.
-    drift = _Invariant("output_drift", None, assembled_tol, OutputDrift,
-                       "assembled output drift")
     floor = None
     margins = None
     if rewards:
@@ -937,10 +931,14 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
             continue
         outputs = forward(arch, Theta.stack(seg.points), X)
         if pinned is not None:
-            residual = drift.enforce(
-                np.abs(outputs - pinned).max(axis=(1, 2)), seg)
-            seg.residuals[drift.name] = residual
-            drift_max = max(drift_max, float(residual.max()))
+            residual = np.abs(outputs - pinned).max(axis=(1, 2))
+            i = int(residual.argmax())
+            if residual[i] > assembled_tol:
+                raise OutputDrift(
+                    f"assembled output drift {residual[i]:.3e} exceeds "
+                    f"{assembled_tol}{_at(seg, i)}")
+            seg.residuals["output_drift"] = residual
+            drift_max = max(drift_max, float(residual[i]))
         if rewards:
             try:
                 occ = occupancy(mdp, outputs)

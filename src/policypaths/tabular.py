@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolated
-from .mdp import (check_policy, occupancy, policy_from_occupancy,
+from .mdp import (check_one_policy, occupancy, policy_from_occupancy,
                   stationary_distribution, transition_matrix)
 
 VALUE_BOUND_TOL = 1e-9
@@ -57,8 +57,8 @@ def uniform_grid(n=DEFAULT_GRID_SIZE):
 
 def interpolate_policies(mdp, pi1, pi2, alpha, mu1=None, mu2=None):
     """Policy at position ``alpha`` on the path; alpha=1 gives pi1, alpha=0 pi2."""
-    pi1 = check_policy(pi1, mdp.n_states, mdp.n_actions)
-    pi2 = check_policy(pi2, mdp.n_states, mdp.n_actions)
+    pi1 = check_one_policy(pi1, mdp.n_states, mdp.n_actions)
+    pi2 = check_one_policy(pi2, mdp.n_states, mdp.n_actions)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     if alpha == 1.0:
@@ -109,8 +109,8 @@ def verify_equiconnectedness(mdp, pi1, pi2, rewards, grid=None,
     if grid is None:
         grid = uniform_grid()
     grid = np.unique(np.concatenate([[0.0, 1.0], np.asarray(grid, dtype=float)]))
-    pi1 = check_policy(pi1, mdp.n_states, mdp.n_actions)
-    pi2 = check_policy(pi2, mdp.n_states, mdp.n_actions)
+    pi1 = check_one_policy(pi1, mdp.n_states, mdp.n_actions)
+    pi2 = check_one_policy(pi2, mdp.n_states, mdp.n_actions)
     rewards = [np.asarray(r, dtype=float) for r in rewards]
     mu1, mu2 = _endpoint_stationaries(mdp, pi1, pi2)
     points, values, stat_res, occ_res = _evaluate(mdp, pi1, pi2, mu1, mu2,

@@ -12,14 +12,16 @@ from scipy.linalg import null_space
 from scipy.sparse.csgraph import connected_components
 
 from enumeration import enumerate_deterministic_policies
-from policypaths.attack import det_occupancies
+from policypaths.attack import AttackSpec, attack, det_occupancies
 from policypaths.errors import CapExceeded, NonConvergence, ZeroStateMass
 from policypaths.mdp import (CHAIN_BLOCK, ErgodicityCertificate, Mdp,
                              _deterministic_chains, _gth, average_reward,
-                             check_ergodicity, deterministic_policy,
+                             check_ergodicity, check_one_policy,
+                             check_policy, deterministic_policy,
                              discounted_to_average, occupancy,
                              policy_from_occupancy, random_ergodic_mdp,
                              stationary_distribution, transition_matrix)
+from policypaths.tabular import interpolate_policies, verify_equiconnectedness
 from ring_kernels import lazy_ring, ring_kernel, ring_mdp
 
 
@@ -560,3 +562,22 @@ def test_stacked_stationary_names_first_residual_failure(monkeypatch):
     with pytest.raises(NonConvergence,
                        match=r"^chain 1: balance residual .* exceeds tol=0.0"):
         stationary_distribution(stack)
+
+
+def test_single_policy_entry_points_reject_a_stack():
+    # Only check_policy, transition_matrix and occupancy take a stack; the
+    # rest would silently mix the policies of one.
+    mdp = random_ergodic_mdp(84, 3, 2)
+    pis = np.full((2, 3, 2), 0.5)
+    pis[1] = deterministic_policy([0, 1, 0], 2)
+    for call in (lambda: check_one_policy(pis, 3, 2),
+                 lambda: average_reward(mdp, pis),
+                 lambda: interpolate_policies(mdp, pis, pis[0], 0.5),
+                 lambda: verify_equiconnectedness(mdp, pis[0], pis,
+                                                  [mdp.reward]),
+                 lambda: attack(mdp, AttackSpec(target=pis[[1, 1]], margin=0.1))):
+        with pytest.raises(ValueError, match=r"policy shape \(2, 3, 2\)"):
+            call()
+    assert np.array_equal(check_one_policy(pis[1], 3, 2), pis[1])
+    assert np.array_equal(check_policy(pis, 3, 2), pis)
+    assert occupancy(mdp, pis).shape == pis.shape
