@@ -279,51 +279,21 @@ def cmd_gen_mdp(cfg):
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
-def cmd_tabular_verify(cfg):
-    results = _run_instances(cfg, tabular_worker, range(cfg.instances))
-    ok = all(r["ok"] for r in results)
-    report = {"instances": results, "pass": ok,
-              "worst_stationary_residual": max(
-                  (r["stationary_residual"] for r in results if r["ok"]),
-                  default=None)}
-    _emit(cfg, "tabular-verify", report)
-    return _exit_code(results)
-
-
-def cmd_nn_verify(cfg):
-    results = _run_instances(cfg, nn_worker, range(cfg.instances))
-    ok = all(r["ok"] for r in results)
-    report = {"instances": results, "pass": ok}
-    _emit(cfg, "nn-verify", report)
-    return _exit_code(results)
-
-
-def cmd_attack(cfg):
-    results = _run_instances(cfg, attack_worker, range(cfg.instances))
-    ok = all(r["ok"] for r in results)
-    report = {"instances": results, "pass": ok,
-              "worst_kkt": max((r["kkt_residual"] for r in results if r["ok"]),
-                               default=None)}
-    _emit(cfg, "attack", report)
-    return _exit_code(results)
-
-
-def cmd_defend(cfg):
-    results = _run_instances(cfg, defend_worker, range(cfg.instances))
-    ok = all(r["ok"] for r in results)
-    report = {"instances": results, "pass": ok}
-    _emit(cfg, "defend", report)
-    return _exit_code(results)
-
-
-def cmd_minimax(cfg):
-    results = _run_instances(cfg, minimax_worker, range(cfg.instances))
-    ok = all(r["ok"] for r in results)
-    report = {"instances": results, "pass": ok,
-              "worst_gap": max((abs(r["gap"]) for r in results if "gap" in r),
-                               default=None)}
-    _emit(cfg, "minimax", report)
-    return _exit_code(results)
+def _certify(name, worker, worst):
+    """The subcommand ``name``: ``worker`` certifies each instance, and the
+    report lists the rows.  ``worst`` is None or (key, field): the report
+    also gives, under ``key``, the largest ``abs`` of ``field`` over the
+    rows that have it."""
+    def command(cfg):
+        results = _run_instances(cfg, worker, range(cfg.instances))
+        report = {"instances": results, "pass": all(r["ok"] for r in results)}
+        if worst is not None:
+            key, row_field = worst
+            report[key] = max((abs(r[row_field]) for r in results
+                               if row_field in r), default=None)
+        _emit(cfg, name, report)
+        return _exit_code(results)
+    return command
 
 
 def cmd_landscape(cfg):
@@ -347,11 +317,13 @@ def cmd_landscape(cfg):
 
 COMMANDS = {
     "gen-mdp": cmd_gen_mdp,
-    "tabular-verify": cmd_tabular_verify,
-    "nn-verify": cmd_nn_verify,
-    "attack": cmd_attack,
-    "defend": cmd_defend,
-    "minimax": cmd_minimax,
+    "tabular-verify": _certify("tabular-verify", tabular_worker,
+                               ("worst_stationary_residual",
+                                "stationary_residual")),
+    "nn-verify": _certify("nn-verify", nn_worker, None),
+    "attack": _certify("attack", attack_worker, ("worst_kkt", "kkt_residual")),
+    "defend": _certify("defend", defend_worker, None),
+    "minimax": _certify("minimax", minimax_worker, ("worst_gap", "gap")),
     "landscape": cmd_landscape,
 }
 

@@ -8,8 +8,11 @@ The output-preserving segments are full-rank repairs, first-layer rank
 restoration and swap, pseudo-inverse preimage moves and full-rank tall
 matrix paths; one "tabular lift" segment carries the network output along
 the occupancy-blend policy path, which is where the value bound comes
-from.  The assembled path is certified in one pass, one stacked step per
-leg: a single forward evaluation of all the leg's snapshots feeds both the
+from.  One pull-back, ``_pull_back``, serves ``h_map`` and the preimage
+moves: a pre-softmax table goes down a fixed full-rank chain through each
+layer's pseudo-inverse and activation inverse, then onto the input table.
+The assembled path is certified in one pass, one stacked step per leg: a
+single forward evaluation of all the leg's snapshots feeds both the
 output-drift check and one stacked occupancy solve, which gives the value
 of every reward.
 """
@@ -161,6 +164,22 @@ def _activation_full_rank(T, n_required):
     return s[n_required - 1] >= RANK_SIGMA_FRAC * s[0]
 
 
+def _pull_back(M1, layers, B, slope, nulls):
+    """(W, b) on the ones-augmented input table ``M1`` under which the fixed
+    chain ``layers`` (forward order) emits the pre-softmax table ``B``.
+    ``nulls`` is None or the null-space parts to add back: one after each
+    layer's pseudo-inverse, then one to the stacked (W, b)."""
+    ones = np.ones((M1.shape[0], 1))
+    for k in reversed(range(len(layers))):
+        W, b = layers[k]
+        B = (B - ones * np.asarray(b, dtype=float)[None, :]) @ pinv(W)
+        if nulls is not None:
+            B = B + nulls[k]
+        B = sigma_inv(B, slope)
+    Wb = pinv(M1) @ B
+    return _unstack(Wb if nulls is None else Wb + nulls[-1])
+
+
 def h_map(M, layers, pi, slope):
     """Reconstruct the layer feeding a fixed full-rank chain so the chain
     emits the policy ``pi`` on input table ``M``.
@@ -177,20 +196,10 @@ def h_map(M, layers, pi, slope):
     if rank_with_tol(M1) < M1.shape[0]:
         raise RankDeficient("input table (with ones column appended) must have "
                             "full row rank")
-    ones = np.ones((M.shape[0], 1))
-    B = softmax_inv_rows(pi)
-    if layers:
-        for idx, (W, b) in enumerate(reversed(layers)):
-            _check_full_column_rank(np.asarray(W, dtype=float),
-                                    f"chain weight {len(layers) - idx}")
-            B = (B - ones * np.asarray(b, dtype=float)[None, :]) @ pinv(W)
-            if idx < len(layers) - 1:
-                B = sigma_inv(B, slope)
-        pre = sigma_inv(B, slope)
-    else:
-        pre = B
-    Wb = pinv(M1) @ pre
-    return _unstack(Wb)
+    for k in reversed(range(len(layers))):
+        _check_full_column_rank(np.asarray(layers[k][0], dtype=float),
+                                f"chain weight {k + 1}")
+    return _pull_back(M1, layers, softmax_inv_rows(pi), slope, None)
 
 
 def realize_policy(arch, X, layers, pi, floor=1e-12):
@@ -226,52 +235,31 @@ def canonical_layers(arch, seed):
 # the same network output, holding the output fixed the whole way.
 # ---------------------------------------------------------------------------
 
-def _first_layer_coordinates(X, theta, slope):
-    """Decompose a first layer into canonical pseudo-inverse parts plus
-    null-space components, relative to the fixed layers 2..L."""
-    M1 = _augment(X)
+def _tables(arch, theta, X):
+    """The hidden activation tables [F_1, ..., F_{L-1}] and the
+    pre-softmax table of the network on the feature table ``X``."""
+    hidden, _ = forward(arch, theta, X, return_hidden=True)
+    F = hidden[-2] if arch.depth > 1 else X
     ones = np.ones((X.shape[0], 1))
-    depth = len(theta.weights)
-    F = sigma(X @ theta.weights[0] + ones * theta.biases[0][None, :], slope)
-    hidden = [F]
-    for k in range(1, depth - 1):
-        F = sigma(F @ theta.weights[k] + ones * theta.biases[k][None, :], slope)
-        hidden.append(F)
-    logits = hidden[-1] @ theta.weights[-1] + ones * theta.biases[-1][None, :] \
-        if depth > 1 else X @ theta.weights[0] + ones * theta.biases[0][None, :]
-    if depth == 1:
-        return {"logits": logits,
-                "nulls": [],
-                "null0": _stack(theta.weights[0], theta.biases[0])
-                - pinv(M1) @ logits}
-    nulls = [None] * (depth - 1)
+    return hidden[:-1], F @ theta.weights[-1] + ones * theta.biases[-1][None, :]
+
+
+def _first_layer_coordinates(arch, X, theta):
+    """Split the first layer into the pre-softmax table and the null-space
+    parts that ``_pull_back`` through layers 2..L adds back: one per fixed
+    layer, then the one of the stacked (W_1, b_1)."""
+    hidden, logits = _tables(arch, theta, X)
+    ones = np.ones((X.shape[0], 1))
+    nulls = []
     upper = logits
-    for l in range(depth - 2, -1, -1):
-        W_next = theta.weights[l + 1]
-        b_next = theta.biases[l + 1]
-        A = (upper - ones * b_next[None, :]) @ pinv(W_next)
-        nulls[l] = hidden[l] - A
-        upper = sigma_inv(hidden[l], slope)
-    null0 = _stack(theta.weights[0], theta.biases[0]) \
-        - pinv(M1) @ sigma_inv(hidden[0], slope)
-    return {"logits": logits, "nulls": nulls, "null0": null0}
-
-
-def _first_layer_from_coordinates(X, theta_fixed, coords, slope):
-    """Inverse of _first_layer_coordinates for fixed layers 2..L."""
-    M1 = _augment(X)
-    ones = np.ones((X.shape[0], 1))
-    depth = len(theta_fixed.weights)
-    if depth == 1:
-        Wb = pinv(M1) @ coords["logits"] + coords["null0"]
-        return _unstack(Wb)
-    F = (coords["logits"] - ones * theta_fixed.biases[-1][None, :]) \
-        @ pinv(theta_fixed.weights[-1]) + coords["nulls"][depth - 2]
-    for l in range(depth - 3, -1, -1):
-        F = (sigma_inv(F, slope) - ones * theta_fixed.biases[l + 1][None, :]) \
-            @ pinv(theta_fixed.weights[l + 1]) + coords["nulls"][l]
-    Wb = pinv(M1) @ sigma_inv(F, slope) + coords["null0"]
-    return _unstack(Wb)
+    for l in range(arch.depth - 2, -1, -1):
+        A = (upper - ones * theta.biases[l + 1][None, :]) \
+            @ pinv(theta.weights[l + 1])
+        nulls.insert(0, hidden[l] - A)
+        upper = sigma_inv(hidden[l], arch.leaky_slope)
+    nulls.append(_stack(theta.weights[0], theta.biases[0])
+                 - pinv(_augment(X)) @ upper)
+    return logits, nulls
 
 
 def preimage_chain_path(arch, X, theta_a, theta_b, grid=None):
@@ -290,24 +278,19 @@ def preimage_chain_path(arch, X, theta_a, theta_b, grid=None):
         raise ValueError("endpoints must produce the same output within 1e-8")
     pi_ref = pi_a
     slope = arch.leaky_slope
-    coords_a = _first_layer_coordinates(X, theta_a, slope)
-    coords_b = _first_layer_coordinates(X, theta_b, slope)
-
-    def blend(t):
-        mix = {
-            "logits": (1 - t) * coords_a["logits"] + t * coords_b["logits"],
-            "nulls": [(1 - t) * na + t * nb
-                      for na, nb in zip(coords_a["nulls"], coords_b["nulls"])],
-            "null0": (1 - t) * coords_a["null0"] + t * coords_b["null0"],
-        }
-        return mix
+    logits_a, nulls_a = _first_layer_coordinates(arch, X, theta_a)
+    logits_b, nulls_b = _first_layer_coordinates(arch, X, theta_b)
+    M1 = _augment(X)
+    layers = list(zip(theta_a.weights[1:], theta_a.biases[1:]))
 
     def stage(t):
         if t == 0.0:
             return theta_a.copy()
         if t == 1.0:
             return theta_b.copy()
-        W1, b1 = _first_layer_from_coordinates(X, theta_a, blend(t), slope)
+        nulls = [(1 - t) * na + t * nb for na, nb in zip(nulls_a, nulls_b)]
+        W1, b1 = _pull_back(M1, layers, (1 - t) * logits_a + t * logits_b,
+                            slope, nulls)
         theta = theta_a.copy()
         theta.weights[0] = W1
         theta.biases[0] = b1
@@ -721,17 +704,9 @@ def weight_fullrank_repair(arch, theta, X, seed=0, grid=None):
     if not stages:
         stages = [lambda t: current]
 
-    ones = np.ones((X.shape[0], 1))
-
-    def pre_softmax(th):
-        h, _ = forward(arch, th, X, return_hidden=True)
-        if arch.depth == 1:
-            return X @ th.weights[0] + ones * th.biases[0][None, :]
-        return h[-2] @ th.weights[-1] + ones * th.biases[-1][None, :]
-
-    ref = pre_softmax(theta)
+    ref = _tables(arch, theta, X)[1]
     drift = _Invariant("output_drift",
-                       lambda p: np.max(np.abs(pre_softmax(p) - ref)),
+                       lambda p: np.max(np.abs(_tables(arch, p, X)[1] - ref)),
                        LEMMA_DRIFT_TOL, OutputDrift, "repair drift")
     return _segment("weight-fullrank-repair", stages, grid, drift)
 

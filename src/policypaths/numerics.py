@@ -127,7 +127,8 @@ def project_polyhedron(z, A, b):
 
 def dykstra(z, projections, max_iter=5000):
     """Dykstra's alternating projection onto an intersection of convex sets,
-    stopped once an iterate moves by at most DYKSTRA_TOL."""
+    stopped once an iterate moves by at most DYKSTRA_TOL; raises
+    IterationCap when ``max_iter`` sweeps do not get there."""
     x = np.asarray(z, dtype=float).copy()
     increments = [np.zeros_like(x) for _ in projections]
     for _ in range(max_iter):
@@ -138,7 +139,8 @@ def dykstra(z, projections, max_iter=5000):
             x = y
         if np.max(np.abs(x - x_prev)) <= DYKSTRA_TOL:
             return x
-    return x
+    raise IterationCap(f"Dykstra projection did not settle within "
+                       f"max_iter={max_iter} sweeps")
 
 
 @dataclass

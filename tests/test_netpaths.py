@@ -151,6 +151,25 @@ def test_preimage_chain_kernel_perturbation_is_straight_line():
         assert np.max(np.abs(pre - pre_a)) < 1e-12
 
 
+def test_preimage_chain_depth_one_network():
+    # a (3, 2) network has no fixed chain: the pull-back is the input
+    # table's pseudo-inverse alone, and the blend of the pre-softmax
+    # table and the kernel part of (W_1, b_1) is the straight line
+    shallow = NetArchitecture(widths=(3, 2))
+    theta_a = random_theta(shallow, 8)
+    W1, b1 = h_map(X3, [], forward(shallow, theta_a, X3), SLOPE)
+    theta_b = Theta(weights=[W1], biases=[b1])
+    seg = preimage_chain_path(shallow, X3, theta_a, theta_b,
+                              grid=uniform_grid(41))
+    assert seg.kind == "preimage-chain"
+    assert seg.max_residual("output_drift") <= 1e-7
+    assert np.array_equal(seg.points[0].flat(), theta_a.flat())
+    assert np.array_equal(seg.points[-1].flat(), theta_b.flat())
+    for alpha, p in zip(seg.alphas, seg.points):
+        line = (1 - alpha) * theta_a.flat() + alpha * theta_b.flat()
+        assert np.max(np.abs(p.flat() - line)) < 1e-12
+
+
 def degenerate_first_layer(rng, n_states, n1, rank_drop):
     """First layer whose activation table has rank n_states - rank_drop."""
     X = one_hot_features(n_states)
@@ -419,6 +438,36 @@ def test_assemble_residuals_cover_every_snapshot():
             assert seg.residuals["output_drift"].shape == (n,)
             assert seg.max_residual("output_drift") \
                 <= path.certificate["max_output_drift"]
+
+
+def test_assemble_depth_two_network():
+    # widths (3, 6, 2): the sub-network past the shared first layer is a
+    # single softmax layer, so no deep weights are carried across
+    shallow = NetArchitecture(widths=(3, 6, 2))
+    mdp = random_ergodic_mdp(33, 3, 2)
+    rng = np.random.default_rng(33)
+    theta_1, theta_2 = random_theta(shallow, 33), random_theta(shallow, 34)
+    r_a = [rng.uniform(-1.0, 1.0, size=(3, 2)) for _ in range(3)]
+    r_b = [rng.uniform(size=(3, 2))]
+    p_a = assemble_nn_path(mdp, shallow, X3, theta_1, theta_2, rewards=r_a,
+                           grid=uniform_grid(21))
+    p_b = assemble_nn_path(mdp, shallow, X3, theta_1, theta_2, rewards=r_b,
+                           grid=uniform_grid(21))
+    assert p_a.certificate["verdict"] is True
+    assert p_a.certificate["segment_kinds"] == [
+        "weight-fullrank-repair", "rank-restore-F1", "first-layer-swap",
+        "preimage-chain", "tabular-lift", "preimage-chain",
+        "rank-restore-F1", "weight-fullrank-repair"]
+    assert p_a.certificate["max_output_drift"] <= 1e-6
+    assert min(p_a.certificate["value_margins"]) >= -1e-6
+    assert p_a.snapshot_bytes() == p_b.snapshot_bytes()
+    # with no fixed chain the preimage chains are straight parameter lines
+    for seg in p_a.segments:
+        if seg.kind == "preimage-chain":
+            start, end = seg.points[0].flat(), seg.points[-1].flat()
+            for alpha, p in zip(seg.alphas, seg.points):
+                line = (1 - alpha) * start + alpha * end
+                assert np.max(np.abs(p.flat() - line)) < 1e-9
 
 
 BENCH_WIDTHS = [(3, 6, 4, 2), (4, 8, 6, 3), (3, 8, 6, 4, 2), (6, 12, 8, 4)]

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from policypaths.errors import Infeasible, Unbounded
+from policypaths.errors import Infeasible, IterationCap, Unbounded
 from policypaths.numerics import (LpProblem, dykstra, extragradient_saddle,
                                   lp_solve, nnls, pinv, project_polyhedron,
                                   rank_with_tol)
@@ -256,6 +256,19 @@ def test_dykstra_box_halfplane():
     ])
     assert abs(target.sum() - 1.5) < 1e-8
     assert np.all(target >= -1e-9) and np.all(target <= 1.0 + 1e-9)
+
+
+def test_dykstra_raises_at_its_iteration_cap():
+    # the same problem needs a second sweep to see its iterate stand still,
+    # so a cap of one sweep must raise rather than return the iterate
+    projections = [
+        lambda v: np.clip(v, 0.0, 1.0),
+        lambda v: project_affine(v, np.array([[1.0, 1.0]]), np.array([1.5]))
+        if v.sum() < 1.5 else v,
+    ]
+    assert np.allclose(dykstra(np.zeros(2), projections, max_iter=2), 0.75)
+    with pytest.raises(IterationCap, match="max_iter=1 sweeps"):
+        dykstra(np.zeros(2), projections, max_iter=1)
 
 
 def simplex_projector(v):
