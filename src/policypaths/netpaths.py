@@ -11,10 +11,13 @@ the occupancy-blend policy path, which is where the value bound comes
 from.  One pull-back, ``_pull_back``, serves ``h_map`` and the preimage
 moves: a pre-softmax table goes down a fixed full-rank chain through each
 layer's pseudo-inverse and activation inverse, then onto the input table.
-The assembled path is certified in one pass, one stacked step per leg: a
-single forward evaluation of all the leg's snapshots feeds both the
-output-drift check and one stacked occupancy solve, which gives the value
-of every reward.
+A leg whose chain stays fixed takes that chain's pseudo-inverses and rank
+checks once, not at every snapshot; only the weight-swap leg, whose tall
+layers move, takes them per snapshot.  Each builder measures its invariant
+over all of a segment's samples in one stacked call.  The assembled path
+is certified in one pass, one stacked step per leg: a single forward
+evaluation of all the leg's snapshots feeds both the output-drift check
+and one stacked occupancy solve, which gives the value of every reward.
 """
 
 from collections.abc import Callable
@@ -29,7 +32,7 @@ from .errors import (BoundViolated, NonConvergence, NonPositivePolicy,
                      SwapFailed)
 from .mdp import occupancy, stationary_distribution, transition_matrix
 from .network import (NetArchitecture, Theta, check_assumptions, forward,
-                      sigma, sigma_inv, softmax_inv_rows)
+                      pre_softmax, sigma, sigma_inv, softmax_inv_rows)
 from .numerics import pinv, rank_with_tol
 from .tabular import interpolate_policies, uniform_grid
 
@@ -84,7 +87,9 @@ class SegmentedPath:
 @dataclass(frozen=True)
 class _Invariant:
     """A residual measured at every sample of a segment, and its bound:
-    an upper bound, or a lower bound when ``floor`` is set."""
+    an upper bound, or a lower bound when ``floor`` is set.  ``measure``
+    maps the list of samples to the array of their residuals in one
+    stacked evaluation."""
 
     name: str
     measure: Callable
@@ -95,7 +100,7 @@ class _Invariant:
 
     def check(self, samples):
         """The residual at each sample; raises ``error`` past the bound."""
-        residual = np.array([self.measure(s) for s in samples])
+        residual = self.measure(samples)
         worst = residual.min() if self.floor else residual.max()
         if (worst < self.tol) if self.floor else (worst > self.tol):
             bound = "dipped below" if self.floor else "exceeds"
@@ -147,6 +152,16 @@ def _unstack(Wb):
     return Wb[:-1], Wb[-1]
 
 
+def _max_abs_gap(tables, ref):
+    """Largest entry of |table - ref| for each table of a stack."""
+    return np.abs(tables - ref).max(axis=(-2, -1))
+
+
+def _stack_points(points):
+    """Tuple points of arrays as one tuple of stacked arrays."""
+    return tuple(np.stack(parts) for parts in zip(*points))
+
+
 def _check_full_column_rank(W, name):
     if rank_with_tol(W) < W.shape[1]:
         raise RankDeficient(f"{name} must have full column rank")
@@ -164,19 +179,47 @@ def _activation_full_rank(T, n_required):
     return s[n_required - 1] >= RANK_SIGMA_FRAC * s[0]
 
 
-def _pull_back(M1, layers, B, slope, nulls):
-    """(W, b) on the ones-augmented input table ``M1`` under which the fixed
-    chain ``layers`` (forward order) emits the pre-softmax table ``B``.
-    ``nulls`` is None or the null-space parts to add back: one after each
-    layer's pseudo-inverse, then one to the stacked (W, b)."""
-    ones = np.ones((M1.shape[0], 1))
+def _target_logits(pi):
+    """The row-centred pre-softmax table of a strictly positive policy."""
+    pi = np.asarray(pi, dtype=float)
+    if np.any(pi <= 0):
+        raise NonPositivePolicy("target policy must be strictly positive")
+    return softmax_inv_rows(pi)
+
+
+def _input_inverse(M1):
+    """``pinv`` of the ones-augmented input table, which must have full
+    row rank."""
+    if rank_with_tol(M1) < M1.shape[0]:
+        raise RankDeficient("input table (with ones column appended) must have "
+                            "full row rank")
+    return pinv(M1)
+
+
+def _chain_inverses(layers):
+    """``pinv`` of each weight of a fixed chain (forward order), after
+    checking from the last layer down that each has full column rank."""
     for k in reversed(range(len(layers))):
-        W, b = layers[k]
-        B = (B - ones * np.asarray(b, dtype=float)[None, :]) @ pinv(W)
+        _check_full_column_rank(np.asarray(layers[k][0], dtype=float),
+                                f"chain weight {k + 1}")
+    return [pinv(W) for W, _ in layers]
+
+
+def _pull_back(layers, inverses, B, slope, nulls):
+    """(W, b) on the ones-augmented input table under which the fixed
+    chain ``layers`` (forward order) emits the pre-softmax table ``B``.
+    ``inverses`` holds the pseudo-inverse of each layer's weight, then the
+    one of the input table; a caller whose chain stays fixed takes them
+    once.  ``nulls`` is None or the null-space parts to add back: one after
+    each layer's pseudo-inverse, then one to the stacked (W, b)."""
+    ones = np.ones((B.shape[0], 1))
+    for k in reversed(range(len(layers))):
+        b = np.asarray(layers[k][1], dtype=float)
+        B = (B - ones * b[None, :]) @ inverses[k]
         if nulls is not None:
             B = B + nulls[k]
         B = sigma_inv(B, slope)
-    Wb = pinv(M1) @ B
+    Wb = inverses[-1] @ B
     return _unstack(Wb if nulls is None else Wb + nulls[-1])
 
 
@@ -188,18 +231,10 @@ def h_map(M, layers, pi, slope):
     the softmax.  An empty chain means the produced layer is the softmax
     layer itself.  Returns (W, b).
     """
-    M = np.asarray(M, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if np.any(pi <= 0):
-        raise NonPositivePolicy("target policy must be strictly positive")
-    M1 = _augment(M)
-    if rank_with_tol(M1) < M1.shape[0]:
-        raise RankDeficient("input table (with ones column appended) must have "
-                            "full row rank")
-    for k in reversed(range(len(layers))):
-        _check_full_column_rank(np.asarray(layers[k][0], dtype=float),
-                                f"chain weight {k + 1}")
-    return _pull_back(M1, layers, softmax_inv_rows(pi), slope, None)
+    logits = _target_logits(pi)
+    M_inv = _input_inverse(_augment(M))
+    return _pull_back(layers, _chain_inverses(layers) + [M_inv], logits,
+                      slope, None)
 
 
 def realize_policy(arch, X, layers, pi, floor=1e-12):
@@ -235,30 +270,21 @@ def canonical_layers(arch, seed):
 # the same network output, holding the output fixed the whole way.
 # ---------------------------------------------------------------------------
 
-def _tables(arch, theta, X):
-    """The hidden activation tables [F_1, ..., F_{L-1}] and the
-    pre-softmax table of the network on the feature table ``X``."""
-    hidden, _ = forward(arch, theta, X, return_hidden=True)
-    F = hidden[-2] if arch.depth > 1 else X
-    ones = np.ones((X.shape[0], 1))
-    return hidden[:-1], F @ theta.weights[-1] + ones * theta.biases[-1][None, :]
-
-
-def _first_layer_coordinates(arch, X, theta):
+def _first_layer_coordinates(arch, X, theta, inverses):
     """Split the first layer into the pre-softmax table and the null-space
     parts that ``_pull_back`` through layers 2..L adds back: one per fixed
-    layer, then the one of the stacked (W_1, b_1)."""
-    hidden, logits = _tables(arch, theta, X)
+    layer, then the one of the stacked (W_1, b_1).  ``inverses`` are the
+    pull-back's pseudo-inverses of layers 2..L and of the input table."""
+    hidden, logits = pre_softmax(arch, theta, X)
     ones = np.ones((X.shape[0], 1))
     nulls = []
     upper = logits
     for l in range(arch.depth - 2, -1, -1):
-        A = (upper - ones * theta.biases[l + 1][None, :]) \
-            @ pinv(theta.weights[l + 1])
+        A = (upper - ones * theta.biases[l + 1][None, :]) @ inverses[l]
         nulls.insert(0, hidden[l] - A)
         upper = sigma_inv(hidden[l], arch.leaky_slope)
     nulls.append(_stack(theta.weights[0], theta.biases[0])
-                 - pinv(_augment(X)) @ upper)
+                 - inverses[-1] @ upper)
     return logits, nulls
 
 
@@ -278,10 +304,11 @@ def preimage_chain_path(arch, X, theta_a, theta_b, grid=None):
         raise ValueError("endpoints must produce the same output within 1e-8")
     pi_ref = pi_a
     slope = arch.leaky_slope
-    logits_a, nulls_a = _first_layer_coordinates(arch, X, theta_a)
-    logits_b, nulls_b = _first_layer_coordinates(arch, X, theta_b)
-    M1 = _augment(X)
+    # The chain is fixed along the leg: its pseudo-inverses are taken once.
     layers = list(zip(theta_a.weights[1:], theta_a.biases[1:]))
+    inverses = [pinv(W) for W, _ in layers] + [pinv(_augment(X))]
+    logits_a, nulls_a = _first_layer_coordinates(arch, X, theta_a, inverses)
+    logits_b, nulls_b = _first_layer_coordinates(arch, X, theta_b, inverses)
 
     def stage(t):
         if t == 0.0:
@@ -289,15 +316,16 @@ def preimage_chain_path(arch, X, theta_a, theta_b, grid=None):
         if t == 1.0:
             return theta_b.copy()
         nulls = [(1 - t) * na + t * nb for na, nb in zip(nulls_a, nulls_b)]
-        W1, b1 = _pull_back(M1, layers, (1 - t) * logits_a + t * logits_b,
-                            slope, nulls)
+        W1, b1 = _pull_back(layers, inverses,
+                            (1 - t) * logits_a + t * logits_b, slope, nulls)
         theta = theta_a.copy()
         theta.weights[0] = W1
         theta.biases[0] = b1
         return theta
 
     drift = _Invariant("output_drift",
-                       lambda p: np.max(np.abs(forward(arch, p, X) - pi_ref)),
+                       lambda ps: _max_abs_gap(
+                           forward(arch, Theta.stack(ps), X), pi_ref),
                        SEGMENT_TOL, OutputDrift, "preimage chain drift")
     return _segment("preimage-chain", [stage], grid, drift,
                     metadata={"pi_ref": pi_ref})
@@ -373,7 +401,7 @@ def rank_restore_first_layer(X, W1, b1, V, slope, seed=0, grid=None):
     ones = np.ones((n_states, 1))
 
     def activation(W, b):
-        return sigma(X @ W + ones * b[None, :], slope)
+        return sigma(X @ W + ones * b[..., None, :], slope)
 
     Z0 = activation(W1, b1) @ V
     stages = []
@@ -404,8 +432,11 @@ def rank_restore_first_layer(X, W1, b1, V, slope, seed=0, grid=None):
     if not stages:
         stages = [lambda t: (W1, b1, V)]
 
-    drift = _Invariant("product_drift",
-                       lambda p: np.max(np.abs(activation(*p[:2]) @ p[2] - Z0)),
+    def product_drift(points):
+        W, b, V = _stack_points(points)
+        return _max_abs_gap(activation(W, b) @ V, Z0)
+
+    drift = _Invariant("product_drift", product_drift,
                        LEMMA_DRIFT_TOL, OutputDrift, "product drift")
     seg = _segment("rank-restore-F1", stages, grid, drift)
     T_end = activation(*seg.points[-1][:2])
@@ -451,8 +482,12 @@ def first_layer_swap(X, W, V, W_target, slope, seed=0, grid=None):
         if not _activation_full_rank(table, n_states):
             raise RankDeficient(f"{name} activation table must have rank {n_states}")
     Z0 = T @ V
-    drift = _Invariant("product_drift",
-                       lambda p: np.max(np.abs(activation(p[0]) @ p[1] - Z0)),
+
+    def product_drift(points):
+        Wm, Vm = _stack_points(points)
+        return _max_abs_gap(activation(Wm) @ Vm, Z0)
+
+    drift = _Invariant("product_drift", product_drift,
                        LEMMA_DRIFT_TOL, OutputDrift, "swap product drift")
     if np.array_equal(W, W_target):
         return _segment("first-layer-swap", [lambda t: (W, V)], grid, drift)
@@ -644,7 +679,9 @@ def fullrank_tall_path(F_a, F_b, grid=None, seed=0):
         stages += _stiefel_stages(E, U_b, rng)
         stages.append(polar_line(F_b, U_b, reverse=True))
 
-    sigmas = _Invariant("min_sigma", _min_sigma,
+    sigmas = _Invariant("min_sigma",
+                        lambda Fs: np.linalg.svd(np.stack(Fs),
+                                                 compute_uv=False)[:, -1],
                         MIN_SIGMA, PathStalled, "minimum singular value",
                         floor=True)
     return _segment("fullrank-tall", stages, grid, sigmas)
@@ -666,7 +703,7 @@ def weight_fullrank_repair(arch, theta, X, seed=0, grid=None):
     X = np.asarray(X, dtype=float)
     rng = np.random.default_rng(seed)
     slope = arch.leaky_slope
-    hidden, _ = forward(arch, theta, X, return_hidden=True)
+    hidden, ref = pre_softmax(arch, theta, X)
     current = theta.copy()
     stages = []
     for l in range(1, arch.depth):        # layer index l+1 in math terms
@@ -704,9 +741,9 @@ def weight_fullrank_repair(arch, theta, X, seed=0, grid=None):
     if not stages:
         stages = [lambda t: current]
 
-    ref = _tables(arch, theta, X)[1]
     drift = _Invariant("output_drift",
-                       lambda p: np.max(np.abs(_tables(arch, p, X)[1] - ref)),
+                       lambda ps: _max_abs_gap(
+                           pre_softmax(arch, Theta.stack(ps), X)[1], ref),
                        LEMMA_DRIFT_TOL, OutputDrift, "repair drift")
     return _segment("weight-fullrank-repair", stages, grid, drift)
 
@@ -828,13 +865,21 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
 
     deep_2 = _deep_layers(theta_2p)
 
-    def sub_with_h(layers, pi):
-        W2, b2 = h_map(F1, [(W, b) for W, b in layers], pi, slope)
+    def sub_with_h(layers, inverses, logits):
+        """``h_map`` on F1: the layer feeding ``layers`` that emits
+        ``logits``, given the chain's pseudo-inverses."""
+        W2, b2 = _pull_back(layers, inverses + [F1_inv], logits, slope, None)
         return Theta(weights=[W2] + [W for W, _ in layers],
                      biases=[b2] + [b for _, b in layers])
 
-    theta_1h_sub = sub_with_h(deep_1, pi_1)
-    theta_2h_sub = sub_with_h(deep_2, pi_2)
+    # h_map's checks in its order, with F1's row rank, its pseudo-inverse
+    # and the fixed chains' ones taken once per assembly.
+    logits_1 = _target_logits(pi_1)
+    F1_inv = _input_inverse(_augment(F1))
+    theta_1h_sub = sub_with_h(deep_1, _chain_inverses(deep_1), logits_1)
+    logits_2 = _target_logits(pi_2)
+    inverses_2 = _chain_inverses(deep_2)
+    theta_2h_sub = sub_with_h(deep_2, inverses_2, logits_2)
 
     seg_chain_1 = _lift(
         preimage_chain_path(sub_arch, F1, sub_theta(theta_1s), theta_1h_sub,
@@ -862,7 +907,10 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
                 b_t = b_a if t == 0.0 else (b_b if t == 1.0
                                             else (1 - t) * b_a + t * b_b)
                 layers_t.append((at[t], b_t))
-            return embed_sub(sub_with_h(layers_t, pi_1))
+            # The tall layers move with t: their ranks and pseudo-inverses
+            # are taken at every snapshot.
+            return embed_sub(sub_with_h(layers_t, _chain_inverses(layers_t),
+                                        logits_1))
 
         legs.append((_segment("weight-swap-with-h", [h_swap_stage], grid),
                      pi_1))
@@ -874,7 +922,7 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
 
     def lift_stage(t):
         pi_t = interpolate_policies(mdp, pi_1, pi_2, 1.0 - t, mu1=mu1, mu2=mu2)
-        return embed_sub(sub_with_h(deep_2, pi_t))
+        return embed_sub(sub_with_h(deep_2, inverses_2, _target_logits(pi_t)))
 
     legs.append((_segment("tabular-lift", [lift_stage], grid), None))
 

@@ -141,13 +141,10 @@ def one_hot_features(n_states, dim=None):
     return X
 
 
-def forward(arch, theta, X, return_hidden=False):
-    """Evaluate the network on a feature table; returns the policy table,
-    or the ``(..., S, A)`` stack of them for a stacked Theta.
-
-    With ``return_hidden`` also returns the per-layer outputs
-    ``[F_1, ..., F_L]`` (post-activation; the last entry is the policy).
-    """
+def pre_softmax(arch, theta, X):
+    """The hidden activation tables ``[F_1, ..., F_{L-1}]`` and the
+    pre-softmax table of the network on a feature table, stacked like
+    ``theta``; ``forward`` is the row softmax of that table."""
     theta.check_shapes(arch)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != arch.feature_dim:
@@ -157,9 +154,22 @@ def forward(arch, theta, X, return_hidden=False):
     hidden = []
     for k in range(arch.depth):
         pre = F @ theta.weights[k] + ones * theta.biases[k][..., None, :]
-        F = softmax_rows(pre) if k == arch.depth - 1 else sigma(pre, arch.leaky_slope)
-        hidden.append(F)
-    return (hidden, F) if return_hidden else F
+        if k < arch.depth - 1:
+            F = sigma(pre, arch.leaky_slope)
+            hidden.append(F)
+    return hidden, pre
+
+
+def forward(arch, theta, X, return_hidden=False):
+    """Evaluate the network on a feature table; returns the policy table,
+    or the ``(..., S, A)`` stack of them for a stacked Theta.
+
+    With ``return_hidden`` also returns the per-layer outputs
+    ``[F_1, ..., F_L]`` (post-activation; the last entry is the policy).
+    """
+    hidden, pre = pre_softmax(arch, theta, X)
+    F = softmax_rows(pre)
+    return (hidden + [F], F) if return_hidden else F
 
 
 @dataclass

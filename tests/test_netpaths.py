@@ -7,8 +7,8 @@ import pytest
 
 from policypaths import netpaths
 from policypaths.errors import (BoundViolated, NonConvergence,
-                                NonPositivePolicy, OutputDrift, RankDeficient,
-                                RepairUnavailable)
+                                NonPositivePolicy, OutputDrift, PathStalled,
+                                RankDeficient, RepairUnavailable)
 from policypaths.mdp import (Mdp, average_reward, deterministic_policy,
                              occupancy, random_ergodic_mdp,
                              stationary_distribution, transition_matrix)
@@ -18,7 +18,7 @@ from policypaths.netpaths import (assemble_nn_path, canonical_layers,
                                   realize_policy, weight_fullrank_repair)
 from policypaths.network import (NetArchitecture, Theta, forward,
                                  one_hot_features, random_theta, sigma)
-from policypaths.tabular import uniform_grid
+from policypaths.tabular import interpolate_policies, uniform_grid
 
 ARCH = NetArchitecture(widths=(3, 6, 4, 2))
 X3 = one_hot_features(3)
@@ -614,3 +614,260 @@ def test_assemble_nonconvergence_names_segment_and_alpha(monkeypatch):
     assert str(failure.value).startswith("chain 10: reducible chain")
     assert str(failure.value).endswith(
         " on weight-fullrank-repair at alpha 0.5")
+
+
+# ---------------------------------------------------------------------------
+# The fixed chain's pseudo-inverses are taken once per leg, and each builder
+# invariant is measured in one stacked call; both keep the per-snapshot bits.
+# ---------------------------------------------------------------------------
+
+PULL_BACK_WIDTHS = [(3, 6, 2), (3, 6, 4, 2), (3, 8, 6, 4, 2)]
+
+
+def _first_layer_table(theta, X, slope):
+    return sigma(X @ theta.weights[0]
+                 + np.ones((X.shape[0], 1)) * theta.biases[0][None, :], slope)
+
+
+@pytest.mark.parametrize("widths", PULL_BACK_WIDTHS)
+def test_hoisted_pull_back_matches_one_shot_h_map(widths):
+    # Past the shared first layer the pull-back runs through a network of
+    # depth 1, 2 or 3.  Every lift snapshot is h_map's one-shot answer, and
+    # every interior preimage-chain snapshot is the pull-back with its
+    # inverses taken afresh at that snapshot, bit for bit.
+    arch = NetArchitecture(widths=widths)
+    sub_arch = NetArchitecture(widths=widths[1:], leaky_slope=arch.leaky_slope)
+    X = one_hot_features(3)
+    mdp = random_ergodic_mdp(50, 3, widths[-1])
+    theta_1, theta_2 = random_theta(arch, 50), random_theta(arch, 51)
+    path = assemble_nn_path(mdp, arch, X, theta_1, theta_2,
+                            grid=uniform_grid(21), seed=5)
+    pi_1, pi_2 = forward(arch, theta_1, X), forward(arch, theta_2, X)
+    mu1 = stationary_distribution(transition_matrix(mdp, pi_1)).mu
+    mu2 = stationary_distribution(transition_matrix(mdp, pi_2)).mu
+    kinds = path.certificate["segment_kinds"]
+    lift = path.segments[kinds.index("tabular-lift")]
+    for alpha, theta in zip(lift.alphas, lift.points):
+        F1 = _first_layer_table(theta, X, SLOPE)
+        deep = list(zip(theta.weights[2:], theta.biases[2:]))
+        pi_t = interpolate_policies(mdp, pi_1, pi_2, 1.0 - alpha,
+                                    mu1=mu1, mu2=mu2)
+        W2, b2 = h_map(F1, deep, pi_t, SLOPE)
+        assert np.array_equal(theta.weights[1], W2)
+        assert np.array_equal(theta.biases[1], b2)
+    chains = [s for s in path.segments if s.kind == "preimage-chain"]
+    assert len(chains) == 2
+    for seg in chains:
+        F1 = _first_layer_table(seg.points[0], X, SLOPE)
+        ends = [Theta(weights=p.weights[1:], biases=p.biases[1:])
+                for p in (seg.points[0], seg.points[-1])]
+        layers = list(zip(ends[0].weights[1:], ends[0].biases[1:]))
+        for alpha, theta in zip(seg.alphas[1:-1], seg.points[1:-1]):
+            inverses = [netpaths.pinv(W) for W, _ in layers] \
+                + [netpaths.pinv(netpaths._augment(F1))]
+            (logits_a, nulls_a), (logits_b, nulls_b) = (
+                netpaths._first_layer_coordinates(sub_arch, F1, end, inverses)
+                for end in ends)
+            nulls = [(1 - alpha) * na + alpha * nb
+                     for na, nb in zip(nulls_a, nulls_b)]
+            W2, b2 = netpaths._pull_back(
+                layers, inverses, (1 - alpha) * logits_a + alpha * logits_b,
+                SLOPE, nulls)
+            assert np.array_equal(theta.weights[1], W2)
+            assert np.array_equal(theta.biases[1], b2)
+
+
+def _counting_pinv(monkeypatch):
+    calls = []
+    real = netpaths.pinv
+
+    def counted(M):
+        calls.append(np.shape(M))
+        return real(M)
+
+    monkeypatch.setattr(netpaths, "pinv", counted)
+    return calls
+
+
+@pytest.mark.parametrize("widths", [(3, 2), (3, 6, 2), (3, 6, 4, 2)])
+def test_preimage_chain_takes_its_inverses_once(widths, monkeypatch):
+    # One pinv per layer of the fixed chain and one of the input table, for
+    # the whole 101-point leg; the endpoint split shares them.
+    arch = NetArchitecture(widths=widths)
+    theta_a = random_theta(arch, 60)
+    layers = list(zip(theta_a.weights[1:], theta_a.biases[1:]))
+    pi = forward(arch, theta_a, X3)
+    calls = _counting_pinv(monkeypatch)
+    W1, b1 = h_map(X3, layers, pi, arch.leaky_slope)
+    assert len(calls) == len(layers) + 1
+    theta_b = theta_a.copy()
+    theta_b.weights[0], theta_b.biases[0] = W1, b1
+    calls.clear()
+    seg = preimage_chain_path(arch, X3, theta_a, theta_b,
+                              grid=uniform_grid(101))
+    assert len(seg.points) == 101
+    assert len(calls) == len(layers) + 1
+
+
+@pytest.mark.parametrize("widths", PULL_BACK_WIDTHS)
+def test_assembly_pinv_count(widths, monkeypatch):
+    # F1's inverse once, each fixed chain's once, each preimage chain's
+    # once; only the weight-swap leg, whose tall layers move, takes the
+    # inverses of its chain at every snapshot.
+    arch = NetArchitecture(widths=widths)
+    X = one_hot_features(3)
+    mdp = random_ergodic_mdp(61, 3, widths[-1])
+    calls = _counting_pinv(monkeypatch)
+    path = assemble_nn_path(mdp, arch, X, random_theta(arch, 61),
+                            random_theta(arch, 62), grid=uniform_grid(101))
+    deep = arch.depth - 2
+    swap = [s for s in path.segments if s.kind == "weight-swap-with-h"]
+    moving = sum(len(s.points) for s in swap) * deep
+    assert len(calls) == 1 + 2 * deep + 2 * (deep + 1) + moving
+    if deep == 0:
+        assert len(calls) == 3
+
+
+def _logits_one(arch, theta, X):
+    """The pre-softmax table of one Theta, computed on its own."""
+    hidden, _ = forward(arch, theta, X, return_hidden=True)
+    F = hidden[-2] if arch.depth > 1 else X
+    return F @ theta.weights[-1] \
+        + np.ones((X.shape[0], 1)) * theta.biases[-1][None, :]
+
+
+def _per_sample(name, args, kwargs, seg):
+    """The residual of each point of a builder's segment, one sample at a
+    time: the oracle of the stacked measures."""
+    if name == "preimage_chain_path":
+        arch, X = args[:2]
+        pi_ref = seg.metadata["pi_ref"]
+        return [np.max(np.abs(forward(arch, p, X) - pi_ref))
+                for p in seg.points]
+    if name == "weight_fullrank_repair":
+        arch, theta, X = args[:3]
+        ref = _logits_one(arch, theta, X)
+        return [np.max(np.abs(_logits_one(arch, p, X) - ref))
+                for p in seg.points]
+    if name == "rank_restore_first_layer":
+        X, W, b, V, slope = args[:5]
+        ones = np.ones((X.shape[0], 1))
+        act = lambda W, b: sigma(X @ W + ones * b[None, :], slope)
+        Z0 = act(W, b) @ V
+        return [np.max(np.abs(act(W, b) @ V - Z0)) for W, b, V in seg.points]
+    if name == "first_layer_swap":
+        X, W, V = args[:3]
+        slope = kwargs["slope"]
+        Z0 = sigma(X @ W, slope) @ V
+        return [np.max(np.abs(sigma(X @ W, slope) @ V - Z0))
+                for W, V in seg.points]
+    assert name == "fullrank_tall_path"
+    return [np.linalg.svd(F, compute_uv=False)[-1] for F in seg.points]
+
+
+BUILDERS = {  # builder: (invariant name, label, tolerance)
+    "weight_fullrank_repair": ("output_drift", "repair drift",
+                               "LEMMA_DRIFT_TOL"),
+    "rank_restore_first_layer": ("product_drift", "product drift",
+                                 "LEMMA_DRIFT_TOL"),
+    "first_layer_swap": ("product_drift", "swap product drift",
+                         "LEMMA_DRIFT_TOL"),
+    "preimage_chain_path": ("output_drift", "preimage chain drift",
+                            "SEGMENT_TOL"),
+    "fullrank_tall_path": ("min_sigma", "minimum singular value", "MIN_SIGMA"),
+}
+
+
+def _record_builders(monkeypatch):
+    """Wrap the five builders; each call appends (name, stacked residual,
+    per-sample oracle) in call order."""
+    record = []
+    for name, (invariant, _, _) in BUILDERS.items():
+        real = getattr(netpaths, name)
+
+        def wrapped(*args, _real=real, _name=name, _inv=invariant, **kwargs):
+            seg = _real(*args, **kwargs)
+            record.append((_name, seg.residuals[_inv].copy(),
+                           np.array(_per_sample(_name, args, kwargs, seg))))
+            return seg
+
+        monkeypatch.setattr(netpaths, name, wrapped)
+    return record
+
+
+def _load_bench_workloads():
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _criterion_3_instances():
+    rng = np.random.default_rng(3)
+    for i in range(20):
+        mdp = random_ergodic_mdp(3000 + i, 3, 2)
+        theta_1 = random_theta(ARCH, 3100 + i)
+        theta_2 = random_theta(ARCH, 3200 + i)
+        rewards = [rng.uniform(-1.0, 1.0, size=(3, 2)) for _ in range(10)]
+        yield lambda: assemble_nn_path(mdp, ARCH, X3, theta_1, theta_2,
+                                       rewards=rewards, seed=i)
+
+
+def _bench_instances(seed, count):
+    workload = _load_bench_workloads().NnPaths(seed, None)
+    for i in range(count):
+        inst = workload.instance(i)
+        yield lambda: workload.run(inst)
+
+
+@pytest.mark.parametrize("sweep", ["criterion-3", "nn-paths-0", "nn-paths-3"])
+def test_stacked_invariants_match_per_sample_oracle(sweep, monkeypatch):
+    # Each builder's residual array, measured in one stacked call, equals
+    # the per-sample measure bit for bit, for all five invariants.
+    runs = (_criterion_3_instances() if sweep == "criterion-3"
+            else _bench_instances(int(sweep.rsplit("-", 1)[1]), 10))
+    record = _record_builders(monkeypatch)
+    for run in runs:
+        run()
+    assert {name for name, _, _ in record} == set(BUILDERS)
+    for name, stacked, oracle in record:
+        assert stacked.dtype == oracle.dtype == np.float64
+        assert np.array_equal(stacked, oracle), name
+
+
+@pytest.mark.parametrize("tol_name", ["SEGMENT_TOL", "LEMMA_DRIFT_TOL"])
+def test_forced_builder_failure_keeps_its_message(tol_name, monkeypatch):
+    # At a zero tolerance the first builder whose per-sample residuals are
+    # positive fails, with the type and message of the per-sample check.
+    mdp, theta_1, theta_2 = _path_inputs(34)
+    record = _record_builders(monkeypatch)
+    assemble_nn_path(mdp, ARCH, X3, theta_1, theta_2, grid=uniform_grid(21))
+    name, _, oracle = next(r for r in record
+                           if BUILDERS[r[0]][2] == tol_name and r[2].max() > 0)
+    expected = f"{BUILDERS[name][1]} {oracle.max():.3e} exceeds 0.0"
+    monkeypatch.setattr(netpaths, tol_name, 0.0)
+    with pytest.raises(OutputDrift) as failure:
+        assemble_nn_path(mdp, ARCH, X3, theta_1, theta_2,
+                         grid=uniform_grid(21))
+    assert str(failure.value) == expected
+
+
+def test_forced_min_sigma_failure_keeps_its_message(monkeypatch):
+    # The endpoints bound the path's singular values, so MIN_SIGMA above
+    # them stops the endpoint check first; with that check passed, the
+    # floor invariant fails at the per-sample minimum.
+    rng = np.random.default_rng(35)
+    F_a, F_b = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    oracle = _per_sample("fullrank_tall_path", (), {},
+                         fullrank_tall_path(F_a, F_b))
+    monkeypatch.setattr(netpaths, "MIN_SIGMA", 10.0)
+    with pytest.raises(RankDeficient, match="first endpoint is rank"):
+        fullrank_tall_path(F_a, F_b)
+    monkeypatch.setattr(netpaths, "_min_sigma", lambda F: np.inf)
+    with pytest.raises(PathStalled) as failure:
+        fullrank_tall_path(F_a, F_b)
+    assert str(failure.value) == \
+        f"minimum singular value {min(oracle):.3e} dipped below 10.0"
