@@ -225,16 +225,22 @@ def attack_worker(cfg, i):
             "target": target.tolist()}
 
 
-def defend_worker(cfg, i):
+def _poisoned_region(cfg, i):
+    """The set-up of the game subcommands: an ergodic MDP with 1-3 states
+    and 2 actions, a random deterministic target, its attack and the reward
+    region around the poisoned reward.  Returns (mdp, region)."""
     rng = np.random.default_rng(cfg.seed + i)
     s = int(rng.integers(1, 4))
     a = 2
     mdp = random_ergodic_mdp(cfg.seed + i, s, a)
-    target = rng.integers(0, a, size=s)
-    spec = AttackSpec(target=target, margin=cfg.margin)
+    spec = AttackSpec(target=rng.integers(0, a, size=s), margin=cfg.margin)
+    result = attack(mdp, spec)
+    return mdp, region_from_anchor(mdp, spec, result.poisoned)
+
+
+def defend_worker(cfg, i):
     try:
-        result = attack(mdp, spec)
-        region = region_from_anchor(mdp, spec, result.poisoned)
+        mdp, region = _poisoned_region(cfg, i)
         true_in_region = bool(region.contains(mdp.reward.ravel()))
         value, _, _ = maxmin_value(mdp, region, cross_check=False)
     except PolicyPathsError as exc:
@@ -244,15 +250,8 @@ def defend_worker(cfg, i):
 
 
 def minimax_worker(cfg, i):
-    rng = np.random.default_rng(cfg.seed + i)
-    s = int(rng.integers(1, 4))
-    a = 2
-    mdp = random_ergodic_mdp(cfg.seed + i, s, a)
-    target = rng.integers(0, a, size=s)
-    spec = AttackSpec(target=target, margin=cfg.margin)
     try:
-        result = attack(mdp, spec)
-        region = region_from_anchor(mdp, spec, result.poisoned)
+        mdp, region = _poisoned_region(cfg, i)
         game = minimax_gap(mdp, region)
     except PolicyPathsError as exc:
         return _failure(i, exc)

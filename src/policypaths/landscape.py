@@ -83,9 +83,15 @@ def _f2(x, y):
 
 
 def _eval_f(x, y):
-    """``_f1`` where x >= 0, else ``_f2``; per column of a grid."""
+    """``_f1`` where x >= 0, else ``_f2``.  On a grid, x is one sorted row
+    and y one column, so each branch is evaluated on its own columns only,
+    straight into one preallocated grid."""
     if isinstance(x, np.ndarray):
-        return np.where(x >= 0, _f1(x, y), _f2(x, y))
+        seam = int(np.searchsorted(x[0], 0.0))
+        grid = np.empty((y.shape[0], x.shape[1]))
+        grid[:, :seam] = _f2(x[:, :seam], y)
+        grid[:, seam:] = _f1(x[:, seam:], y)
+        return grid
     return _f1(x, y) if x >= 0 else _f2(x, y)
 
 

@@ -8,7 +8,10 @@ The output-preserving segments are full-rank repairs, first-layer rank
 restoration and swap, pseudo-inverse preimage moves and full-rank tall
 matrix paths; one "tabular lift" segment carries the network output along
 the occupancy-blend policy path, which is where the value bound comes
-from.  One pull-back, ``_pull_back``, serves ``h_map`` and the preimage
+from.  Each move is written once: every straight-line stage is ``_line``,
+and both first-layer builders raise the rank of an activation column
+block by the one transfer-and-rewire routine, ``_raise_rank``.  One
+pull-back, ``_pull_back``, serves ``h_map`` and the preimage
 moves: a pre-softmax table goes down a fixed full-rank chain through each
 layer's pseudo-inverse and activation inverse, then onto the input table.
 A leg whose chain stays fixed takes that chain's pseudo-inverses and rank
@@ -162,6 +165,23 @@ def _stack_points(points):
     return tuple(np.stack(parts) for parts in zip(*points))
 
 
+def _line(a, b):
+    """The straight stage from ``a`` to ``b``, two arrays or two tuples of
+    arrays: exact copies at t = 0 and t = 1, so adjacent stages meet
+    bitwise, and (1 - t) a + t b in between."""
+    if isinstance(a, tuple):
+        lines = [_line(x, y) for x, y in zip(a, b)]
+        return lambda t: tuple(line(t) for line in lines)
+
+    def stage(t):
+        if t == 0.0:
+            return a.copy()
+        if t == 1.0:
+            return b.copy()
+        return (1 - t) * a + t * b
+    return stage
+
+
 def _check_full_column_rank(W, name):
     if rank_with_tol(W) < W.shape[1]:
         raise RankDeficient(f"{name} must have full column rank")
@@ -170,13 +190,6 @@ def _check_full_column_rank(W, name):
 def _min_sigma(T):
     s = np.linalg.svd(T, compute_uv=False)
     return float(s[-1]) if s.size else 0.0
-
-
-def _activation_full_rank(T, n_required):
-    s = np.linalg.svd(T, compute_uv=False)
-    if s.size < n_required or s[0] == 0.0:
-        return False
-    return s[n_required - 1] >= RANK_SIGMA_FRAC * s[0]
 
 
 def _target_logits(pi):
@@ -335,16 +348,15 @@ def preimage_chain_path(arch, X, theta_a, theta_b, grid=None):
 # Rank restoration of the first-layer activation table.
 # ---------------------------------------------------------------------------
 
-def _dependent_column(T, candidates=None):
+def _dependent_column(T):
     """A column of T expressible by the others, with its coefficients.
 
     Returns (j, c, others) where T[:, j] ~= T[:, others] @ c, or None.
     """
     n_cols = T.shape[1]
-    pool = range(n_cols) if candidates is None else candidates
     scale = max(1.0, float(np.linalg.norm(T)))
     best = None
-    for j in pool:
+    for j in range(n_cols):
         others = [i for i in range(n_cols) if i != j]
         c, res, *_ = np.linalg.lstsq(T[:, others], T[:, j], rcond=None)
         residual = float(np.linalg.norm(T[:, others] @ c - T[:, j]))
@@ -355,37 +367,50 @@ def _dependent_column(T, candidates=None):
     return best[0], best[1], best[3]
 
 
-def _transfer_stage(fixed, V, j, others, coeffs):
-    """Linear V-move zeroing neuron j's output row while keeping T V fixed.
-    Each point is copies of the ``fixed`` arrays followed by V."""
-    V0 = V.copy()
+def _raise_rank(activation, first, V, block, rng, error):
+    """Transfer-and-rewire rounds until the columns ``block`` of the
+    activation table ``activation(*first)`` reach full row rank, with the
+    product ``activation(*first) @ V`` fixed throughout.
 
-    def stage(t):
-        Vt = V0.copy()
-        Vt[others] = V0[others] + t * coeffs[:, None] * V0[j][None, :]
-        Vt[j] = (1 - t) * V0[j]
-        return tuple(a.copy() for a in fixed) + (Vt,)
-
-    V_end = V0.copy()
-    V_end[others] = V0[others] + coeffs[:, None] * V0[j][None, :]
-    V_end[j] = 0.0
-    return stage, V_end
-
-
-def _rewire_stage(W1, b1, V, j, w_new, b_new):
-    """Linear move of neuron j's incoming weights (its output row is zero)."""
-    W0, b0 = W1.copy(), b1.copy()
-
-    def stage(t):
-        Wt, bt = W0.copy(), b0.copy()
-        Wt[:, j] = (1 - t) * W0[:, j] + t * w_new
-        bt[j] = (1 - t) * b0[j] + t * b_new
-        return Wt, bt, V.copy()
-
-    W_end, b_end = W0.copy(), b0.copy()
-    W_end[:, j] = w_new
-    b_end[j] = b_new
-    return stage, W_end, b_end
+    ``first`` is the first layer as a tuple of arrays whose last axis runs
+    over the neurons.  A round takes a column j of the block that the
+    block's other columns express, moves j's share of the product onto them
+    (a V-move), then rewires j's incoming weights at random until the
+    block's rank rises (j's output row is zero, so the product stays put).
+    Dependence is measured inside the block: a column that only columns
+    outside it express adds to the block's rank, so rewiring it cannot
+    raise that rank.  Returns the stages, two per round, with points
+    (*first, V), and the final ``first`` and V.
+    """
+    stages = []
+    T = activation(*first)
+    rank = rank_with_tol(T[:, block], RANK_SIGMA_FRAC)
+    while rank < T.shape[0]:
+        if len(stages) == 2 * T.shape[1]:
+            raise error("rank raising exceeded its round cap")
+        dep = _dependent_column(T[:, block])
+        if dep is None:
+            raise error("no redundant activation column in the block")
+        j, coeffs, others = dep
+        j, others = block[j], [block[i] for i in others]
+        V_end = V.copy()
+        V_end[others] = V[others] + coeffs[:, None] * V[j][None, :]
+        V_end[j] = 0.0
+        stages.append(_line((*first, V), (*first, V_end)))
+        V = V_end
+        for _ in range(REWIRE_TRIES):
+            rewired = tuple(a.copy() for a in first)
+            for a in rewired:
+                a[..., j] = rng.normal(size=a.shape[:-1])
+            T = activation(*rewired)
+            raised = rank_with_tol(T[:, block], RANK_SIGMA_FRAC)
+            if raised > rank:
+                break
+        else:
+            raise error("rewiring failed to raise the block rank")
+        stages.append(_line((*first, V), (*rewired, V)))
+        first, rank = rewired, raised
+    return stages, first, V
 
 
 def rank_restore_first_layer(X, W1, b1, V, slope, seed=0, grid=None):
@@ -395,40 +420,16 @@ def rank_restore_first_layer(X, W1, b1, V, slope, seed=0, grid=None):
     W1 = np.asarray(W1, dtype=float).copy()
     b1 = np.asarray(b1, dtype=float).copy()
     V = np.asarray(V, dtype=float).copy()
-    n_states = X.shape[0]
-    n1 = W1.shape[1]
-    rng = np.random.default_rng(seed)
-    ones = np.ones((n_states, 1))
+    ones = np.ones((X.shape[0], 1))
 
     def activation(W, b):
         return sigma(X @ W + ones * b[..., None, :], slope)
 
     Z0 = activation(W1, b1) @ V
-    stages = []
-    rounds = 0
-    while not _activation_full_rank(activation(W1, b1), n_states):
-        rounds += 1
-        if rounds > n1:
-            raise RestorationStalled("rank restoration exceeded its round cap")
-        T = activation(W1, b1)
-        dep = _dependent_column(T)
-        if dep is None:
-            raise RestorationStalled("no redundant activation column found")
-        j, coeffs, others = dep
-        stage_a, V = _transfer_stage((W1, b1), V, j, others, coeffs)
-        stages.append(stage_a)
-        rank_before = rank_with_tol(T, RANK_SIGMA_FRAC)
-        for _ in range(REWIRE_TRIES):
-            w_new = rng.normal(size=W1.shape[0])
-            b_new = float(rng.normal())
-            T_try = T.copy()
-            T_try[:, j] = sigma(X @ w_new + b_new, slope).ravel()
-            if rank_with_tol(T_try, RANK_SIGMA_FRAC) > rank_before:
-                break
-        else:
-            raise RestorationStalled("rewiring failed to raise the rank")
-        stage_b, W1, b1 = _rewire_stage(W1, b1, V, j, w_new, b_new)
-        stages.append(stage_b)
+    stages, (W1, b1), V = _raise_rank(
+        activation, (W1, b1), V, list(range(W1.shape[1])),
+        np.random.default_rng(seed), RestorationStalled)
+    rounds = len(stages) // 2
     if not stages:
         stages = [lambda t: (W1, b1, V)]
 
@@ -471,7 +472,6 @@ def first_layer_swap(X, W, V, W_target, slope, seed=0, grid=None):
     n1 = W.shape[1]
     if n1 < 2 * n_states:
         raise SwapFailed(f"need at least {2 * n_states} neurons, have {n1}")
-    rng = np.random.default_rng(seed)
 
     def activation(Wm):
         return sigma(X @ Wm, slope)
@@ -479,7 +479,7 @@ def first_layer_swap(X, W, V, W_target, slope, seed=0, grid=None):
     T = activation(W)
     T_target = activation(W_target)
     for name, table in (("source", T), ("target", T_target)):
-        if not _activation_full_rank(table, n_states):
+        if rank_with_tol(table, RANK_SIGMA_FRAC) < n_states:
             raise RankDeficient(f"{name} activation table must have rank {n_states}")
     Z0 = T @ V
 
@@ -491,51 +491,27 @@ def first_layer_swap(X, W, V, W_target, slope, seed=0, grid=None):
                        LEMMA_DRIFT_TOL, OutputDrift, "swap product drift")
     if np.array_equal(W, W_target):
         return _segment("first-layer-swap", [lambda t: (W, V)], grid, drift)
-    stages = []
 
     target_block = _pivot_columns(T_target, n_states)
     keep_block = [j for j in range(n1) if j not in target_block]
 
-    # Make the kept block of the source activation full rank, by the same
-    # transfer + rewire moves as rank restoration.
-    rounds = 0
-    while not _activation_full_rank(T[:, keep_block], n_states):
-        rounds += 1
-        if rounds > n1:
-            raise SwapFailed("could not make the kept neuron block full rank")
-        dep = _dependent_column(T, candidates=keep_block)
-        if dep is None:
-            raise SwapFailed("no redundant activation column in the kept block")
-        j, coeffs, others = dep
-        stage_a, V = _transfer_stage((W,), V, j, others, coeffs)
-        stages.append(stage_a)
-        rank_before = rank_with_tol(T[:, keep_block], RANK_SIGMA_FRAC)
-        for _ in range(REWIRE_TRIES):
-            w_new = rng.normal(size=W.shape[0])
-            T_try = T.copy()
-            T_try[:, j] = sigma(X @ w_new, slope).ravel()
-            if rank_with_tol(T_try[:, keep_block], RANK_SIGMA_FRAC) > rank_before:
-                break
-        else:
-            raise SwapFailed("rewiring failed to raise the kept-block rank")
-        W_new = W.copy()
-        W_new[:, j] = w_new
-        stages.append(_linear_pair_stage((W, V), (W_new, V)))
-        W = W_new
-        T = activation(W)
+    # Make the kept block of the source activation full rank.
+    stages, (W,), V = _raise_rank(activation, (W,), V, keep_block,
+                                  np.random.default_rng(seed), SwapFailed)
+    T = activation(W)
 
     # Stage 1: concentrate the product on the kept block.
     C, *_ = np.linalg.lstsq(T[:, keep_block], T[:, target_block], rcond=None)
     V_end = V.copy()
     V_end[keep_block] = V[keep_block] + C @ V[target_block]
     V_end[target_block] = 0.0
-    stages.append(_linear_pair_stage((W, V), (W, V_end)))
+    stages.append(_line((W, V), (W, V_end)))
     V = V_end
 
     # Stage 2: rewire the freed block to the target weights.
     W_end = W.copy()
     W_end[:, target_block] = W_target[:, target_block]
-    stages.append(_linear_pair_stage((W, V), (W_end, V)))
+    stages.append(_line((W, V), (W_end, V)))
     W = W_end
     T = activation(W)
 
@@ -544,32 +520,16 @@ def first_layer_swap(X, W, V, W_target, slope, seed=0, grid=None):
     V_end = V.copy()
     V_end[target_block] = D @ V[keep_block]
     V_end[keep_block] = 0.0
-    stages.append(_linear_pair_stage((W, V), (W, V_end)))
+    stages.append(_line((W, V), (W, V_end)))
     V = V_end
 
     # Stage 4: rewire the kept block to the target weights.
-    W_end = W_target.copy()
-    stages.append(_linear_pair_stage((W, V), (W_end, V)))
-    W = W_end
+    stages.append(_line((W, V), (W_target, V)))
 
     seg = _segment("first-layer-swap", stages, grid, drift)
     if not np.array_equal(seg.points[-1][0], W_target):
         raise SwapFailed("terminal weights do not equal the target")
     return seg
-
-
-def _linear_pair_stage(start, end):
-    a0, b0 = start
-    a1, b1 = end
-
-    def stage(t):
-        if t == 0.0:
-            return a0.copy(), b0.copy()
-        if t == 1.0:
-            return a1.copy(), b1.copy()
-        return (1 - t) * a0 + t * a1, (1 - t) * b0 + t * b1
-
-    return stage
 
 
 # ---------------------------------------------------------------------------
@@ -581,27 +541,22 @@ def _orthogonal_completion(U):
     return np.hstack([U, comp])
 
 
-def _rotation_log(Q, rng):
-    for _ in range(ROTATION_LOG_TRIES):
-        L = scipy.linalg.logm(Q)
-        L = np.real(L)
-        L = 0.5 * (L - L.T)
-        if np.linalg.norm(scipy.linalg.expm(L) - Q) <= 1e-8:
-            return L, None
-        # Retry through a random rotation waypoint: Q = (Q S^T) S.
-        m = Q.shape[0]
-        S_raw, _ = np.linalg.qr(rng.normal(size=(m, m)))
-        if np.linalg.det(S_raw) < 0:
-            S_raw[:, 0] = -S_raw[:, 0]
-        L1 = np.real(scipy.linalg.logm(S_raw))
-        L1 = 0.5 * (L1 - L1.T)
-        L2 = np.real(scipy.linalg.logm(Q @ S_raw.T))
-        L2 = 0.5 * (L2 - L2.T)
-        ok1 = np.linalg.norm(scipy.linalg.expm(L1) - S_raw) <= 1e-8
-        ok2 = np.linalg.norm(scipy.linalg.expm(L2) - Q @ S_raw.T) <= 1e-8
-        if ok1 and ok2:
-            return L1, L2
-    raise PathStalled("could not compute a usable rotation logarithm")
+def _skew_log(Q):
+    """A real skew-symmetric L with expm(L) = Q to 1e-8, or None."""
+    L = np.real(scipy.linalg.logm(Q))
+    L = 0.5 * (L - L.T)
+    return L if np.linalg.norm(scipy.linalg.expm(L) - Q) <= 1e-8 else None
+
+
+def _rotation(U_from, U_to, L):
+    """The stage expm(t L) U_from, exactly U_from at t = 0 and U_to at 1."""
+    def stage(t):
+        if t == 0.0:
+            return U_from.copy()
+        if t == 1.0:
+            return U_to.copy()
+        return scipy.linalg.expm(t * L) @ U_from
+    return stage
 
 
 def _stiefel_stages(U_from, U_to, rng):
@@ -615,29 +570,19 @@ def _stiefel_stages(U_from, U_to, rng):
     if np.linalg.det(B) * np.linalg.det(A) < 0:
         B[:, -1] = -B[:, -1]
     Q = B @ A.T
-    first, second = _rotation_log(Q, rng)
-    if second is None:
-        def stage(t):
-            if t == 0.0:
-                return U_from.copy()
-            if t == 1.0:
-                return U_to.copy()
-            return scipy.linalg.expm(t * first) @ U_from
-        return [stage]
-
-    mid = scipy.linalg.expm(first) @ U_from
-
-    def stage_one(t):
-        if t == 0.0:
-            return U_from.copy()
-        return scipy.linalg.expm(t * first) @ U_from
-
-    def stage_two(t):
-        if t == 1.0:
-            return U_to.copy()
-        return scipy.linalg.expm(t * second) @ mid
-
-    return [stage_one, stage_two]
+    L = _skew_log(Q)
+    if L is not None:
+        return [_rotation(U_from, U_to, L)]
+    for _ in range(ROTATION_LOG_TRIES):
+        # Go through a random rotation waypoint S: Q = (Q S^T) S.
+        S, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        if np.linalg.det(S) < 0:
+            S[:, 0] = -S[:, 0]
+        first, second = _skew_log(S), _skew_log(Q @ S.T)
+        if first is not None and second is not None:
+            mid = scipy.linalg.expm(first) @ U_from
+            return [_rotation(U_from, mid, first), _rotation(mid, U_to, second)]
+    raise PathStalled("could not compute a usable rotation logarithm")
 
 
 def fullrank_tall_path(F_a, F_b, grid=None, seed=0):
@@ -661,23 +606,16 @@ def fullrank_tall_path(F_a, F_b, grid=None, seed=0):
             U, _, Vt = np.linalg.svd(F, full_matrices=False)
             return U @ Vt
 
-        def polar_line(F, ortho, reverse=False):
-            def stage(t):
-                tt = 1 - t if reverse else t
-                if tt == 0.0:
-                    return F.copy()
-                if tt == 1.0:
-                    return ortho.copy()
-                return (1 - tt) * F + tt * ortho
-            return stage
-
         U_a = polar_factor(F_a)
         U_b = polar_factor(F_b)
         E = np.vstack([np.eye(n), np.zeros((m - n, n))])
-        stages = [polar_line(F_a, U_a)]
+        # The last stage is the line from F_b to its polar factor, travelled
+        # backwards, so its points are bitwise those of that line.
+        back = _line(F_b, U_b)
+        stages = [_line(F_a, U_a)]
         stages += _stiefel_stages(U_a, E, rng)
         stages += _stiefel_stages(E, U_b, rng)
-        stages.append(polar_line(F_b, U_b, reverse=True))
+        stages.append(lambda t: back(1 - t))
 
     sigmas = _Invariant("min_sigma",
                         lambda Fs: np.linalg.svd(np.stack(Fs),
@@ -723,21 +661,15 @@ def weight_fullrank_repair(arch, theta, X, seed=0, grid=None):
         else:
             raise RepairUnavailable(
                 f"layer {l + 1}: kernel perturbations failed to reach full rank")
-        start = current.copy()
-        end = current.copy()
-        end.weights[l] = W + delta
+        line = _line(W, W + delta)
 
-        def stage(t, s=start, e=end, layer=l):
-            if t == 0.0:
-                return s.copy()
-            if t == 1.0:
-                return e.copy()
+        def stage(t, s=current, line=line, layer=l):
             theta_t = s.copy()
-            theta_t.weights[layer] = (1 - t) * s.weights[layer] + t * e.weights[layer]
+            theta_t.weights[layer] = line(t)
             return theta_t
 
         stages.append(stage)
-        current = end
+        current = stage(1.0)
     if not stages:
         stages = [lambda t: current]
 
@@ -765,17 +697,6 @@ def _lift(seg, embed=None, reverse=False):
                        residuals=residuals, metadata=dict(seg.metadata))
 
 
-def _theta_from_parts(first, second, deep):
-    W1, b1 = first
-    W2, b2 = second
-    weights = [np.asarray(W1, dtype=float), np.asarray(W2, dtype=float)]
-    biases = [np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)]
-    for W, b in deep:
-        weights.append(np.asarray(W, dtype=float))
-        biases.append(np.asarray(b, dtype=float))
-    return Theta(weights=weights, biases=biases)
-
-
 def _deep_layers(theta):
     return [(theta.weights[k], theta.biases[k])
             for k in range(2, len(theta.weights))]
@@ -791,12 +712,11 @@ def _prepare_endpoint(arch, X, theta, seed, grid):
     seg_restore_raw = rank_restore_first_layer(
         X, theta_r.weights[0], theta_r.biases[0], theta_r.weights[1],
         arch.leaky_slope, seed=seed + 1, grid=grid)
-    deep = _deep_layers(theta_r)
-    b2 = theta_r.biases[1]
 
     def embed(point):
         W1, b1, V = point
-        return _theta_from_parts((W1, b1), (V, b2), deep)
+        return Theta(weights=[W1, V] + theta_r.weights[2:],
+                     biases=[b1] + theta_r.biases[1:])
 
     seg_restore = _lift(seg_restore_raw, embed)
     theta_p = seg_restore.points[-1]
@@ -839,12 +759,12 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
     seg_swap_raw = first_layer_swap(
         X_aug, Wb_1, theta_1p.weights[1], Wb_2, slope=slope,
         seed=seed + 200, grid=grid)
-    deep_1 = _deep_layers(theta_1p)
-    b2_1 = theta_1p.biases[1]
 
     def embed_swap(point):
         Wb, V = point
-        return _theta_from_parts(_unstack(Wb), (V, b2_1), deep_1)
+        W1, b1 = _unstack(Wb)
+        return Theta(weights=[W1, V] + theta_1p.weights[2:],
+                     biases=[b1] + theta_1p.biases[1:])
 
     seg_swap = _lift(seg_swap_raw, embed_swap)
     theta_1s = seg_swap.points[-1]
@@ -863,6 +783,7 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
         return Theta(weights=[first_shared[0]] + theta_s.weights,
                      biases=[first_shared[1]] + theta_s.biases)
 
+    deep_1 = _deep_layers(theta_1p)
     deep_2 = _deep_layers(theta_2p)
 
     def sub_with_h(layers, inverses, logits):
@@ -899,14 +820,12 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
         # joints, so they hold a point at every alpha of this one-stage leg.
         tall_at = [dict(zip(path.alphas.tolist(), path.points))
                    for path in tall]
+        bias_lines = [_line(b_a, b_b)
+                      for (_, b_a), (_, b_b) in zip(deep_1, deep_2)]
 
         def h_swap_stage(t):
-            layers_t = []
-            for k, at in enumerate(tall_at):
-                b_a, b_b = deep_1[k][1], deep_2[k][1]
-                b_t = b_a if t == 0.0 else (b_b if t == 1.0
-                                            else (1 - t) * b_a + t * b_b)
-                layers_t.append((at[t], b_t))
+            layers_t = [(at[t], line(t))
+                        for at, line in zip(tall_at, bias_lines)]
             # The tall layers move with t: their ranks and pseudo-inverses
             # are taken at every snapshot.
             return embed_sub(sub_with_h(layers_t, _chain_inverses(layers_t),

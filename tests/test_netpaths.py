@@ -18,6 +18,7 @@ from policypaths.netpaths import (assemble_nn_path, canonical_layers,
                                   realize_policy, weight_fullrank_repair)
 from policypaths.network import (NetArchitecture, Theta, forward,
                                  one_hot_features, random_theta, sigma)
+from policypaths.numerics import rank_with_tol
 from policypaths.tabular import interpolate_policies, uniform_grid
 
 ARCH = NetArchitecture(widths=(3, 6, 4, 2))
@@ -286,6 +287,37 @@ def test_first_layer_swap_random_pair_minimum_width():
         assert np.array_equal(seg.points[-1][0], W_target)
 
 
+@pytest.mark.parametrize("n_states", [3, 4])
+def test_first_layer_swap_duplicate_kept_neurons(n_states):
+    # Every kept neuron (the complement of the target's pivot columns) is a
+    # copy of one, so the kept block has rank 1 and the swap takes
+    # rank-raising rounds.  Dependence must be measured inside the kept
+    # block: a kept column that only the target block's columns express
+    # cannot be rewired to raise the kept block's rank.
+    rng = np.random.default_rng(40 + n_states)
+    n1 = 2 * n_states
+    Xa = augmented(one_hot_features(n_states))
+
+    def full_rank(W):
+        T = sigma(Xa @ W, SLOPE)
+        return rank_with_tol(T, netpaths.RANK_SIGMA_FRAC) == n_states
+
+    swaps = 0
+    while swaps < 40:
+        W, W_target = rng.normal(size=(2, n_states + 1, n1))
+        V = rng.normal(size=(n1, 3))
+        target_block = netpaths._pivot_columns(sigma(Xa @ W_target, SLOPE),
+                                               n_states)
+        keep = [j for j in range(n1) if j not in target_block]
+        W[:, keep] = W[:, [keep[0]]]
+        if not (full_rank(W) and full_rank(W_target)):
+            continue
+        seg = first_layer_swap(Xa, W, V, W_target, slope=SLOPE, seed=swaps)
+        assert seg.max_residual("product_drift") <= netpaths.LEMMA_DRIFT_TOL
+        assert np.array_equal(seg.points[-1][0], W_target)
+        swaps += 1
+
+
 def test_fullrank_tall_path_constant():
     rng = np.random.default_rng(14)
     F = rng.normal(size=(6, 2))
@@ -300,6 +332,27 @@ def test_fullrank_tall_path_antipodal():
     assert min(seg.residuals["min_sigma"]) >= 1e-9
     assert np.array_equal(seg.points[0], F)
     assert np.array_equal(seg.points[-1], -F)
+
+
+def test_fullrank_tall_path_rotation_waypoint(monkeypatch):
+    # The rotation taking E to -E has eigenvalue -1, so its principal
+    # logarithm is not real, and that leg goes through a random rotation
+    # waypoint: two stages.
+    E = np.vstack([np.eye(2), np.zeros((4, 2))])
+    built = []
+    real = netpaths._stiefel_stages
+
+    def recording(*args):
+        stages = real(*args)
+        built.append(len(stages))
+        return stages
+
+    monkeypatch.setattr(netpaths, "_stiefel_stages", recording)
+    seg = fullrank_tall_path(E, -E)
+    assert built == [1, 2]
+    assert np.array_equal(seg.points[0], E)
+    assert np.array_equal(seg.points[-1], -E)
+    assert min(seg.residuals["min_sigma"]) >= netpaths.MIN_SIGMA
 
 
 def test_fullrank_tall_path_random_pairs():
