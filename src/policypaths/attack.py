@@ -25,6 +25,7 @@ KKT_TOL = 1e-6
 MEMBERSHIP_TOL = 1e-7
 CROSS_CHECK_TOL = 1e-5
 EG_ITERS = 60000
+DYKSTRA_SWEEPS = 500
 REALIZE_FLOOR = 1e-9
 
 
@@ -159,13 +160,13 @@ class RewardRegion:
         lam, _ = nnls(self.generators, self.anchor - z)
         return self.anchor - self.generators @ lam
 
-    def project(self, z, max_iter=5000):
+    def project(self, z):
         """Projection onto the full region via alternating projections."""
         from .numerics import dykstra
         return dykstra(np.asarray(z, dtype=float).ravel(),
                        [self.project_cone_translate,
                         lambda v: np.clip(v, 0.0, self.bound)],
-                       max_iter=max_iter)
+                       max_iter=DYKSTRA_SWEEPS)
 
 
 def region_from_anchor(mdp, spec, anchor):
@@ -276,10 +277,10 @@ def _maxmin_extragradient(mdp, region):
     def project_occ(z):
         return dykstra(z, [lambda v: v - pinv_eq @ (A_eq_occ @ v - b_eq_occ),
                            lambda v: np.maximum(v, 0.0)],
-                       max_iter=500)
+                       max_iter=DYKSTRA_SWEEPS)
 
     def project_region(z):
-        return region.project(z, max_iter=500)
+        return region.project(z)
 
     def gap(x, y):
         best_response = float(np.max(occ @ project_region(y)))

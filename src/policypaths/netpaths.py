@@ -9,8 +9,10 @@ restoration and swap, pseudo-inverse preimage moves and full-rank tall
 matrix paths; one "tabular lift" segment carries the network output along
 the occupancy-blend policy path, which is where the value bound comes
 from.  Each move is written once: every straight-line stage is ``_line``,
-and both first-layer builders raise the rank of an activation column
-block by the one transfer-and-rewire routine, ``_raise_rank``.  One
+every rotation of one orthonormal frame into another is one ``_rotation``
+stage, whose real logarithm comes from the real Schur form of the
+rotation, and both first-layer builders raise the rank of an activation
+column block by the one transfer-and-rewire routine, ``_raise_rank``.  One
 pull-back, ``_pull_back``, serves ``h_map`` and the preimage
 moves: a pre-softmax table goes down a fixed full-rank chain through each
 layer's pseudo-inverse and activation inverse, then onto the input table.
@@ -45,7 +47,6 @@ ASSEMBLED_TOL = 1e-6
 MIN_SIGMA = 1e-9
 RANK_SIGMA_FRAC = 1e-6
 REWIRE_TRIES = 50
-ROTATION_LOG_TRIES = 8
 
 
 @dataclass
@@ -541,15 +542,34 @@ def _orthogonal_completion(U):
     return np.hstack([U, comp])
 
 
-def _skew_log(Q):
-    """A real skew-symmetric L with expm(L) = Q to 1e-8, or None."""
-    L = np.real(scipy.linalg.logm(Q))
-    L = 0.5 * (L - L.T)
-    return L if np.linalg.norm(scipy.linalg.expm(L) - Q) <= 1e-8 else None
+def _rotation(U_from, U_to):
+    """The stage expm(t L) U_from rotating one orthonormal frame into
+    another inside SO(m): exactly U_from at t = 0 and U_to at t = 1.
 
+    L is the real logarithm of the rotation Q taking the completed frame
+    of U_from to that of U_to, read off the real Schur form Q = Z T Z^T.
+    Q is normal, so T is block diagonal: a 2 x 2 block [[c, -s], [s, c]]
+    turns its plane by atan2(s, c), and the 1 x 1 blocks equal to -1, even
+    in number because det Q = +1, pair into turns by pi.
+    """
+    A = _orthogonal_completion(U_from)
+    B = _orthogonal_completion(U_to)
+    # Adjust so the rotation taking U_from to U_to is special orthogonal;
+    # the completion columns are free because only the first n columns of
+    # B A^T act on U_from.
+    if np.linalg.det(B) * np.linalg.det(A) < 0:
+        B[:, -1] = -B[:, -1]
+    T, Z = scipy.linalg.schur(B @ A.T, output="real")
+    starts = np.flatnonzero(np.diag(T, -1))        # of the 2 x 2 blocks
+    lone = np.setdiff1d(np.arange(len(T)), np.concatenate([starts, starts + 1]))
+    flipped = lone[np.diag(T)[lone] < 0.0]         # the -1 entries
+    L = np.zeros_like(T)
+    L[starts + 1, starts] = np.arctan2(T[starts + 1, starts], T[starts, starts])
+    L[flipped[1::2], flipped[0::2]] = np.pi
+    L = Z @ (L - L.T) @ Z.T
+    if np.abs(scipy.linalg.expm(L) @ U_from - U_to).max() > 1e-8:
+        raise PathStalled("could not compute a usable rotation logarithm")
 
-def _rotation(U_from, U_to, L):
-    """The stage expm(t L) U_from, exactly U_from at t = 0 and U_to at 1."""
     def stage(t):
         if t == 0.0:
             return U_from.copy()
@@ -559,33 +579,7 @@ def _rotation(U_from, U_to, L):
     return stage
 
 
-def _stiefel_stages(U_from, U_to, rng):
-    """Stages rotating one orthonormal frame into another inside SO(m)."""
-    m, n = U_from.shape
-    A = _orthogonal_completion(U_from)
-    B = _orthogonal_completion(U_to)
-    # Adjust so the rotation taking U_from to U_to is special orthogonal;
-    # the completion columns are free because only the first n columns of
-    # B A^T act on U_from.
-    if np.linalg.det(B) * np.linalg.det(A) < 0:
-        B[:, -1] = -B[:, -1]
-    Q = B @ A.T
-    L = _skew_log(Q)
-    if L is not None:
-        return [_rotation(U_from, U_to, L)]
-    for _ in range(ROTATION_LOG_TRIES):
-        # Go through a random rotation waypoint S: Q = (Q S^T) S.
-        S, _ = np.linalg.qr(rng.normal(size=(m, m)))
-        if np.linalg.det(S) < 0:
-            S[:, 0] = -S[:, 0]
-        first, second = _skew_log(S), _skew_log(Q @ S.T)
-        if first is not None and second is not None:
-            mid = scipy.linalg.expm(first) @ U_from
-            return [_rotation(U_from, mid, first), _rotation(mid, U_to, second)]
-    raise PathStalled("could not compute a usable rotation logarithm")
-
-
-def fullrank_tall_path(F_a, F_b, grid=None, seed=0):
+def fullrank_tall_path(F_a, F_b, grid=None):
     """Path of full-column-rank m x n matrices (m > n) between two such
     matrices, certified by the smallest singular value at every sample."""
     F_a = np.asarray(F_a, dtype=float)
@@ -596,7 +590,6 @@ def fullrank_tall_path(F_a, F_b, grid=None, seed=0):
     for name, F in (("first", F_a), ("second", F_b)):
         if _min_sigma(F) < MIN_SIGMA:
             raise RankDeficient(f"{name} endpoint is rank deficient")
-    rng = np.random.default_rng(seed)
 
     if np.array_equal(F_a, F_b):
         F_const = F_a.copy()
@@ -612,10 +605,8 @@ def fullrank_tall_path(F_a, F_b, grid=None, seed=0):
         # The last stage is the line from F_b to its polar factor, travelled
         # backwards, so its points are bitwise those of that line.
         back = _line(F_b, U_b)
-        stages = [_line(F_a, U_a)]
-        stages += _stiefel_stages(U_a, E, rng)
-        stages += _stiefel_stages(E, U_b, rng)
-        stages.append(lambda t: back(1 - t))
+        stages = [_line(F_a, U_a), _rotation(U_a, E), _rotation(E, U_b),
+                  lambda t: back(1 - t)]
 
     sigmas = _Invariant("min_sigma",
                         lambda Fs: np.linalg.svd(np.stack(Fs),
@@ -814,8 +805,8 @@ def assemble_nn_path(mdp, arch, X, theta_1, theta_2, rewards=None, grid=None,
     # Carry the deep weights from side 1 to side 2 through full-rank tall
     # matrices, re-solving the second layer so the output stays pinned.
     if deep_1:
-        tall = [fullrank_tall_path(W_a, W_b, grid=grid, seed=seed + 300 + k)
-                for k, ((W_a, _), (W_b, _)) in enumerate(zip(deep_1, deep_2))]
+        tall = [fullrank_tall_path(W_a, W_b, grid=grid)
+                for (W_a, _), (W_b, _) in zip(deep_1, deep_2)]
         # The tall paths are sampled on the same grid plus their own
         # joints, so they hold a point at every alpha of this one-stage leg.
         tall_at = [dict(zip(path.alphas.tolist(), path.points))

@@ -125,7 +125,7 @@ def project_polyhedron(z, A, b):
     return z + y, lam
 
 
-def dykstra(z, projections, max_iter=5000):
+def dykstra(z, projections, max_iter):
     """Dykstra's alternating projection onto an intersection of convex sets,
     stopped once an iterate moves by at most DYKSTRA_TOL; raises
     IterationCap when ``max_iter`` sweeps do not get there."""

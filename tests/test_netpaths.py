@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from policypaths import netpaths
 from policypaths.errors import (BoundViolated, NonConvergence,
@@ -335,32 +336,79 @@ def test_fullrank_tall_path_antipodal():
 
 
 def test_fullrank_tall_path_rotation_waypoint(monkeypatch):
-    # The rotation taking E to -E has eigenvalue -1, so its principal
-    # logarithm is not real, and that leg goes through a random rotation
-    # waypoint: two stages.
+    # The rotation taking E to -E has eigenvalue -1, which has no real
+    # principal logarithm; the Schur logarithm still turns each leg in one
+    # rotation stage, with no waypoint in between.
     E = np.vstack([np.eye(2), np.zeros((4, 2))])
     built = []
-    real = netpaths._stiefel_stages
+    real = netpaths._rotation
 
-    def recording(*args):
-        stages = real(*args)
-        built.append(len(stages))
-        return stages
+    def recording(U_from, U_to):
+        built.append((U_from, U_to))
+        return real(U_from, U_to)
 
-    monkeypatch.setattr(netpaths, "_stiefel_stages", recording)
+    monkeypatch.setattr(netpaths, "_rotation", recording)
     seg = fullrank_tall_path(E, -E)
-    assert built == [1, 2]
+    assert len(built) == 2
+    assert np.array_equal(built[1][0], E) and np.array_equal(built[1][1], -E)
     assert np.array_equal(seg.points[0], E)
     assert np.array_equal(seg.points[-1], -E)
     assert min(seg.residuals["min_sigma"]) >= netpaths.MIN_SIGMA
 
 
+def _frame(rng, m, n):
+    return np.linalg.qr(rng.normal(size=(m, n)))[0]
+
+
+def _rotation_cases():
+    """Frame pairs for ``_rotation``: random pairs at m = 3..13, E -> -E at
+    n = 2 and n = 3, and a pair whose rotation has both a 2 x 2 Schur
+    block and a pair of -1 eigenvalues."""
+    rng = np.random.default_rng(29)
+    cases = [(_frame(rng, m, n), _frame(rng, m, n))
+             for m in range(3, 14) for n in range(1, m)]
+    for n in (2, 3):
+        E = np.vstack([np.eye(n), np.zeros((6 - n, n))])
+        cases.append((E, -E))
+    # With n = m - 1 the rotation is fixed by the frames, so it is Q below.
+    P = _frame(rng, 5, 5)
+    c, s = np.cos(1.1), np.sin(1.1)
+    Q = P @ scipy.linalg.block_diag([[c, -s], [s, c]], -1.0, -1.0, 1.0) @ P.T
+    U = _frame(rng, 5, 4)
+    cases.append((U, Q @ U))
+    return cases
+
+
+def test_rotation_schur_logarithm():
+    cases = _rotation_cases()
+    # the last case exercises both kinds of Schur block
+    U, V = cases[-1]
+    A = netpaths._orthogonal_completion(U)
+    B = netpaths._orthogonal_completion(V)
+    if np.linalg.det(B) * np.linalg.det(A) < 0:
+        B[:, -1] = -B[:, -1]
+    T, _ = scipy.linalg.schur(B @ A.T, output="real")
+    sub = np.flatnonzero(np.diag(T, -1))
+    lone = [i for i in range(len(T)) if i not in sub and i - 1 not in sub]
+    assert len(sub) == 1
+    assert sum(T[i, i] < 0 for i in lone) == 2
+    for U_from, U_to in cases:
+        stage = netpaths._rotation(U_from, U_to)
+        assert np.array_equal(stage(0.0), U_from)
+        assert np.array_equal(stage(1.0), U_to)
+        n = U_from.shape[1]
+        for t in (0.1, 0.5, 0.9):
+            P = stage(t)
+            assert np.abs(P.T @ P - np.eye(n)).max() <= 1e-12
+        assert np.abs(stage(np.nextafter(1.0, 0.0)) - U_to).max() <= 1e-12
+
+
 def test_fullrank_tall_path_random_pairs():
     rng = np.random.default_rng(16)
-    for trial in range(5):
+    for _ in range(5):
         F_a = rng.normal(size=(6, 2))
         F_b = rng.normal(size=(6, 2))
-        seg = fullrank_tall_path(F_a, F_b, seed=trial)
+        seg = fullrank_tall_path(F_a, F_b)
         assert min(seg.residuals["min_sigma"]) >= 1e-9
         assert np.array_equal(seg.points[0], F_a)
         assert np.array_equal(seg.points[-1], F_b)

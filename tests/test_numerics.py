@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from policypaths.attack import DYKSTRA_SWEEPS
 from policypaths.errors import Infeasible, IterationCap, Unbounded
 from policypaths.numerics import (LpProblem, dykstra, extragradient_saddle,
                                   lp_solve, nnls, pinv, project_polyhedron,
@@ -253,7 +254,7 @@ def test_dykstra_box_halfplane():
         lambda v: np.clip(v, 0.0, 1.0),
         lambda v: project_affine(v, np.array([[1.0, 1.0]]), np.array([1.5]))
         if v.sum() < 1.5 else v,
-    ])
+    ], max_iter=DYKSTRA_SWEEPS)
     assert abs(target.sum() - 1.5) < 1e-8
     assert np.all(target >= -1e-9) and np.all(target <= 1.0 + 1e-9)
 
